@@ -22,7 +22,7 @@ class CapExceeded(ValueError):
 
 def check_size(I: int, J: int) -> None:
     """Reject grids smaller than 2 x 2."""
-    if not (isinstance(I, int) and isinstance(J, int)):
+    if not (type(I) is int and type(J) is int):
         raise ValueError("design size must be a pair of integers")
     if I < 2 or J < 2:
         raise ValueError(f"design size must be at least 2 x 2, got {I} x {J}")
@@ -39,7 +39,7 @@ def fraction(points: Iterable[Point], I: int, J: int) -> Points:
         if not (isinstance(p, tuple) and len(p) == 2):
             raise ValueError(f"point {p!r} is not a pair")
         i, j = p
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (type(i) is int and type(j) is int):
             raise ValueError(f"point {p!r} has non-integer levels")
         if not (1 <= i <= I and 1 <= j <= J):
             raise ValueError(f"point ({i}, {j}) outside the {I} x {J} grid")

@@ -36,14 +36,14 @@ def _parse_json(text: str) -> tuple[Points, int, int]:
         if key not in obj:
             raise ParseError(f"JSON input missing key {key!r}")
     I, J, raw = obj["I"], obj["J"], obj["points"]
-    if not isinstance(I, int) or not isinstance(J, int):
+    if type(I) is not int or type(J) is not int:
         raise ParseError("I and J must be integers")
     if not isinstance(raw, list):
         raise ParseError("points must be a list of [i, j] pairs")
     pts = []
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, int) for x in entry)):
+                and all(type(x) is int for x in entry)):
             raise ParseError(f"point {entry!r} is not an [i, j] integer pair")
         pts.append((entry[0], entry[1]))
     try:
@@ -56,20 +56,23 @@ def _parse_grid(text: str) -> tuple[Points, int, int]:
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
-    if not lines:
+    first = 0  # leading blank lines are skipped but keep their line numbers
+    while first < len(lines) and not lines[first].strip():
+        first += 1
+    if first == len(lines):
         raise ParseError("empty input")
     header = None
-    body_start = 0
-    tokens = lines[0].split()
+    body_start = first
+    tokens = lines[first].split()
     if len(tokens) == 2 and all(t.lstrip("-").isdigit() for t in tokens):
         header = (int(tokens[0]), int(tokens[1]))
-        body_start = 1
+        body_start = first + 1
     body = lines[body_start:]
     if not body:
-        raise ParseError("header without grid rows", line=1)
+        raise ParseError("header without grid rows", line=first + 1)
     if header is not None and len(body) != header[0]:
         raise ParseError(
-            f"header says {header[0]} rows but the grid has {len(body)}", line=1
+            f"header says {header[0]} rows but the grid has {len(body)}", line=first + 1
         )
     I = len(body)
     J = header[1] if header is not None else len(body[0].strip())

@@ -8,16 +8,31 @@ in odd position get -1, which zeroes every row and column sum.  Adding
 or subtracting a move keeps a table's margins, and the full set of
 circuit moves connects every fiber, so the stay-or-move chain below has
 the uniform distribution on the fiber as its stationary law.
+
+Inside this module an I x J 0/1 table is an int with bit (i-1)*J +
+(j-1) set for each cell (i, j) that holds 1, and a move is a (plus,
+minus) pair of such masks: the cells it raises and the cells it lowers.
+A move applies to t iff t & plus == 0 and t & minus == minus, and the
+next table is t ^ (plus | minus); the opposite sign swaps plus and
+minus.  markov_basis returns a read-only MoveBasis that holds only the
+masks and the shape: two ints per move, about 80 bytes a move on the
+6 x 6 full basis and 140 on the 20 x 20 degree-2 basis, where a dense
+tuple grid takes 616 and 4,200 bytes.  It decodes dense Move grids on
+indexing and iteration and compares equal to the tuple of those grids.
+Dense tuple tables appear only at the API edge: walk states,
+apply_move results and the tables a target weight function sees.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .cycles import UnionFind, derangements
+from .cycles import UnionFind
 from .design import CapExceeded, Table, check_size
 
 Move = Table  # I x J integer grid, entries in {-1, 0, +1}
@@ -73,6 +88,19 @@ def circuit_to_move(circuit: Circuit, I: int, J: int) -> Move:
     return tuple(tuple(row) for row in grid)
 
 
+def _circuit_walks(I: int, J: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(rows, cols) of every degree-k circuit, in circuits() order."""
+    for rows in itertools.combinations(range(1, I + 1), k):
+        first, rest = rows[0], rows[1:]
+        for tail in itertools.permutations(rest):
+            seq = (first,) + tail
+            for cols in itertools.combinations(range(1, J + 1), k):
+                for cperm in itertools.permutations(cols):
+                    if cperm[0] > cperm[-1]:
+                        continue
+                    yield seq, cperm
+
+
 def circuits(I: int, J: int, k: int) -> Iterator[Circuit]:
     """All degree-k circuits of K_{I,J}, each exactly once.
 
@@ -83,42 +111,165 @@ def circuits(I: int, J: int, k: int) -> Iterator[Circuit]:
     check_size(I, J)
     if not 2 <= k <= min(I, J):
         raise ValueError(f"circuit degree must lie in 2..min(I,J) = {min(I, J)}")
-    for rows in itertools.combinations(range(1, I + 1), k):
-        first, rest = rows[0], rows[1:]
-        for tail in itertools.permutations(rest):
-            for cols in itertools.combinations(range(1, J + 1), k):
-                for cperm in itertools.permutations(cols):
-                    if cperm[0] > cperm[-1]:
-                        continue
-                    yield Circuit((first,) + tail, cperm)
+    for rows, cols in _circuit_walks(I, J, k):
+        yield Circuit(rows, cols)
+
+
+def _top_degree(I: int, J: int, max_degree: Optional[int]) -> int:
+    check_size(I, J)
+    if max_degree is None:
+        return min(I, J)
+    if max_degree < 2:
+        raise ValueError(
+            f"max_degree must be at least 2: circuit degrees lie in "
+            f"2..min(I,J) = 2..{min(I, J)}, got {max_degree}"
+        )
+    return min(max_degree, I, J)
 
 
 def basis_size(I: int, J: int, max_degree: Optional[int] = None) -> int:
     """Closed-form circuit count: sum over k of C(I,k) C(J,k) (k-1)! k! / 2."""
-    check_size(I, J)
-    top = min(I, J) if max_degree is None else min(max_degree, I, J)
+    top = _top_degree(I, J, max_degree)
     return sum(
         math.comb(I, k) * math.comb(J, k) * math.factorial(k - 1) * math.factorial(k) // 2
         for k in range(2, top + 1)
     )
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _cells(code: int, n: int) -> bytes:
+    """The n low bits of code as bytes 0 and 1, lowest bit first."""
+    return format(code, f"0{n}b").encode()[::-1].translate(_BITS)
+
+
+def _mask(cells) -> int:
+    """Int with bit n set where cells[n] is true."""
+    return int("".join("1" if c else "0" for c in reversed(cells)) or "0", 2)
+
+
+def _decode_table(code: int, I: int, J: int) -> Table:
+    cells = _cells(code, I * J)
+    return tuple(tuple(cells[r:r + J]) for r in range(0, I * J, J))
+
+
+def _decode_move(plus: int, minus: int, I: int, J: int) -> Move:
+    p, m = _cells(plus, I * J), _cells(minus, I * J)
+    return tuple(
+        tuple(map(operator.sub, p[r:r + J], m[r:r + J])) for r in range(0, I * J, J)
+    )
+
+
+def _shape(grid: Sequence[Sequence[int]], what: str) -> tuple[int, int]:
+    I = len(grid)
+    J = len(grid[0]) if I else 0
+    for n, row in enumerate(grid, start=1):
+        if len(row) != J:
+            raise ValueError(f"{what} is ragged: row {n} has {len(row)} entries, expected {J}")
+    return I, J
+
+
+def _encode_table(table: Sequence[Sequence[int]], what: str) -> int:
+    cells = [v for row in table for v in row]
+    if any(v not in (0, 1) for v in cells):
+        raise ValueError(f"{what} is not a 0/1 table")
+    return _mask(cells)
+
+
+def _encode_move(move: Sequence[Sequence[int]], I: int, J: int) -> tuple[int, int]:
+    shape = _shape(move, "move")
+    if shape != (I, J):
+        raise ValueError(f"move is {shape[0]} x {shape[1]} but the table is {I} x {J}")
+    cells = [v for row in move for v in row]
+    if any(v not in (-1, 0, 1) for v in cells):
+        raise ValueError("move entries must lie in {-1, 0, 1}")
+    return _mask([v == 1 for v in cells]), _mask([v == -1 for v in cells])
+
+
+class MoveBasis(abc.Sequence):
+    """Read-only sequence of the moves of one I x J grid.
+
+    Holds only the shape and each move's (plus, minus) masks.  Indexing
+    and iteration decode dense Move grids; a slice is again a MoveBasis.
+    Compares equal to the tuple of its decoded moves.
+    """
+
+    __slots__ = ("shape", "plus", "minus")
+
+    def __init__(self, shape: tuple[int, int], plus: Sequence[int], minus: Sequence[int]):
+        self.shape = shape
+        self.plus = tuple(plus)
+        self.minus = tuple(minus)
+
+    def __len__(self) -> int:
+        return len(self.plus)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return MoveBasis(self.shape, self.plus[index], self.minus[index])
+        return _decode_move(self.plus[index], self.minus[index], *self.shape)
+
+    def __iter__(self) -> Iterator[Move]:
+        I, J = self.shape
+        for p, m in zip(self.plus, self.minus):
+            yield _decode_move(p, m, I, J)
+
+    def __eq__(self, other):
+        if isinstance(other, MoveBasis):
+            return (self.shape, self.plus, self.minus) == (other.shape, other.plus, other.minus)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<MoveBasis: {len(self)} moves on the {self.shape[0]} x {self.shape[1]} grid>"
+
+
 def markov_basis(
     I: int, J: int, max_degree: Optional[int] = None, cap: int = DEFAULT_CAP
-) -> tuple[Move, ...]:
+) -> MoveBasis:
     """One move per circuit of each degree from 2 up to min(I,J).
 
     max_degree truncates the basis (degree 2 alone gives the classical
-    swap moves).  Refuses to build more than cap moves.
+    swap moves); below 2 it is refused.  Refuses to build more than cap
+    moves.  The moves come in circuits() order, degree by degree.
     """
+    top = _top_degree(I, J, max_degree)
     total = basis_size(I, J, max_degree)
     if total > cap:
         raise CapExceeded(f"basis would hold {total} moves, over the cap of {cap}")
-    top = min(I, J) if max_degree is None else min(max_degree, I, J)
-    out = []
+    # cell[i][j] is the bit of (i, j); a move's masks sum one bit per edge
+    cell = [[0] * (J + 1)] + [
+        [0] + [1 << ((i - 1) * J + j - 1) for j in range(1, J + 1)] for i in range(1, I + 1)
+    ]
+    plus, minus = [], []
+    last = None
     for k in range(2, top + 1):
-        out.extend(circuit_to_move(c, I, J) for c in circuits(I, J, k))
-    return tuple(out)
+        for rows, cols in _circuit_walks(I, J, k):
+            if rows != last:  # a row sequence repeats over all its column choices
+                last = rows
+                up = [cell[i] for i in rows]
+                down = up[1:] + up[:1]
+            plus.append(sum(map(list.__getitem__, up, cols)))
+            minus.append(sum(map(list.__getitem__, down, cols)))
+    return MoveBasis((I, J), plus, minus)
+
+
+def _basis_masks(basis: Sequence[Move], I: int, J: int) -> tuple[Sequence[int], Sequence[int]]:
+    """(plus, minus) masks of a basis for I x J tables; dense moves are encoded."""
+    if isinstance(basis, MoveBasis):
+        if basis.shape != (I, J):
+            raise ValueError(
+                f"basis is for the {basis.shape[0]} x {basis.shape[1]} grid "
+                f"but the table is {I} x {J}"
+            )
+        return basis.plus, basis.minus
+    pairs = [_encode_move(move, I, J) for move in basis]
+    return [p for p, _ in pairs], [m for _, m in pairs]
 
 
 def _as_table(table: Sequence[Sequence[int]]) -> Table:
@@ -126,21 +277,21 @@ def _as_table(table: Sequence[Sequence[int]]) -> Table:
 
 
 def apply_move(table: Sequence[Sequence[int]], move: Move, sign: int = 1) -> Optional[Table]:
-    """table + sign*move when every entry stays in {0,1}, else None."""
+    """table + sign*move when every entry stays in {0,1}, else None.
+
+    table must be a 0/1 table and move a table of the same shape with
+    entries in {-1, 0, 1}; anything else raises ValueError.
+    """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if len(table) != len(move) or any(len(r) != len(m) for r, m in zip(table, move)):
-        raise ValueError("table and move shapes differ")
-    out = []
-    for trow, mrow in zip(table, move):
-        row = []
-        for t, m in zip(trow, mrow):
-            v = t + sign * m
-            if v not in (0, 1):
-                return None
-            row.append(v)
-        out.append(tuple(row))
-    return tuple(out)
+    I, J = _shape(table, "table")
+    code = _encode_table(table, "table")
+    plus, minus = _encode_move(move, I, J)
+    if sign == -1:
+        plus, minus = minus, plus
+    if code & plus or code & minus != minus:
+        return None
+    return _decode_table(code ^ plus ^ minus, I, J)
 
 
 def _check_weight(target: Callable[[Table], float], table: Table) -> float:
@@ -157,35 +308,51 @@ def walk_states(
     seed,
     target: Optional[Callable[[Table], float]] = None,
 ) -> Iterator[Table]:
-    """Yield the chain state after each of `steps` transitions.
+    """Iterator over the chain state after each of `steps` transitions.
 
     Proposal: one uniformly chosen basis move with a uniform sign.  A
     proposal leaving {0,1} is rejected and the state repeats (the lazy
-    convention: rejections consume a step).  With a target weight
-    function the acceptance ratio is min(1, target(next)/target(cur));
-    ratios >= 1 are accepted without drawing, so a constant target
-    replays exactly the plain walk's trajectory for the same seed.
+    convention: rejections consume a step; the same tuple is yielded
+    again).  With a target weight function the acceptance ratio is
+    min(1, target(next)/target(cur)); ratios >= 1 are accepted without
+    drawing, so a constant target replays exactly the plain walk's
+    trajectory for the same seed.
+
+    basis is a MoveBasis or any sequence of dense moves; either is
+    checked against the start's shape (and dense entries against
+    {-1, 0, 1}) when walk_states is called, before the first state.
     """
     if not basis:
         raise ValueError("empty move basis")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     cur = _as_table(start)
-    if any(v not in (0, 1) for row in cur for v in row):
-        raise ValueError("start is not a 0/1 table")
+    code = _encode_table(cur, "start")
+    I, J = _shape(cur, "start")
+    plus, minus = _basis_masks(basis, I, J)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     w_cur = _check_weight(target, cur) if target is not None else 1.0
+    return _walk(cur, code, w_cur, plus, minus, I, J, steps, rng, target)
+
+
+def _walk(cur, code, w_cur, plus, minus, I, J, steps, rng, target) -> Iterator[Table]:
+    n = len(plus)
+    randrange = rng.randrange
     for _ in range(steps):
-        move = basis[rng.randrange(len(basis))]
-        sign = 1 if rng.randrange(2) == 0 else -1
-        nxt = apply_move(cur, move, sign)
-        if nxt is not None:
+        r = randrange(n)
+        if randrange(2) == 0:
+            up, down = plus[r], minus[r]
+        else:
+            up, down = minus[r], plus[r]
+        if code & up == 0 and code & down == down:
+            nxt_code = code ^ up ^ down
+            nxt = _decode_table(nxt_code, I, J)
             if target is None:
-                cur = nxt
+                cur, code = nxt, nxt_code
             else:
                 w_nxt = _check_weight(target, nxt)
                 if w_nxt >= w_cur or rng.random() * w_cur < w_nxt:
-                    cur, w_cur = nxt, w_nxt
+                    cur, code, w_cur = nxt, nxt_code, w_nxt
         yield cur
 
 
@@ -270,19 +437,23 @@ def verify_connectivity(mA, mB, basis: Optional[Sequence[Move]] = None,
     """Enumerate the fiber and check the move graph has one component.
 
     An empty or singleton fiber counts as connected.  basis defaults to
-    the full circuit basis of the len(mA) x len(mB) grid.
+    the full circuit basis of the len(mA) x len(mB) grid; a given basis
+    is checked against that shape before the fiber is enumerated.  The
+    union-find runs over the tables' bit codes.
     """
-    tables = fiber_enumerate(mA, mB, cap)
+    mA, mB = _check_fiber_margins(mA, mB)
+    I, J = len(mA), len(mB)
     if basis is None:
-        basis = markov_basis(len(mA), len(mB), cap=cap)
-    index = {t: n for n, t in enumerate(tables)}
+        basis = markov_basis(I, J, cap=cap)
+    plus, minus = _basis_masks(basis, I, J)
+    codes = [_mask([v for row in t for v in row]) for t in fiber_enumerate(mA, mB, cap)]
+    index = {c: n for n, c in enumerate(codes)}
     uf = UnionFind()
-    for n in range(len(tables)):
+    for n in range(len(codes)):
         uf.find(n)
-    for t in tables:
-        for move in basis:
-            nxt = apply_move(t, move, 1)
-            if nxt is not None:
-                uf.union(index[t], index[nxt])
-    components = len({uf.find(n) for n in range(len(tables))})
-    return FiberReport(len(tables), components, components <= 1)
+    for n, c in enumerate(codes):
+        for up, down in zip(plus, minus):
+            if c & up == 0 and c & down == down:
+                uf.union(n, index[c ^ up ^ down])
+    components = len({uf.find(n) for n in range(len(codes))})
+    return FiberReport(len(codes), components, components <= 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import fractions
 import itertools
 import math
+import random
 
 
 def compositions(total, parts):
@@ -189,3 +190,59 @@ def orbit_partition(tables):
         pool -= orbit
         classes.append(sorted(orbit))
     return classes
+
+
+def dense_apply_move(table, move, sign):
+    """table + sign*move cell by cell, or None when a cell leaves {0,1}."""
+    out = []
+    for trow, mrow in zip(table, move):
+        row = []
+        for t, m in zip(trow, mrow):
+            v = t + sign * m
+            if v not in (0, 1):
+                return None
+            row.append(v)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def dense_walk(start, moves, steps, seed, target=None):
+    """States of the stay-or-move chain on dense moves.  Draws from
+    random.Random(seed) in the order the package documents: the move
+    index, the sign, then a uniform only when a Metropolis ratio is
+    below 1."""
+    rng = random.Random(seed)
+    cur = tuple(tuple(row) for row in start)
+    w_cur = 1.0 if target is None else target(cur)
+    states = []
+    for _ in range(steps):
+        move = moves[rng.randrange(len(moves))]
+        sign = 1 if rng.randrange(2) == 0 else -1
+        nxt = dense_apply_move(cur, move, sign)
+        if nxt is not None:
+            if target is None:
+                cur = nxt
+            else:
+                w_nxt = target(nxt)
+                if w_nxt >= w_cur or rng.random() * w_cur < w_nxt:
+                    cur, w_cur = nxt, w_nxt
+        states.append(cur)
+    return states
+
+
+def dense_components(tables, moves):
+    """Number of components of the move graph on a list of tables."""
+    index = {t: n for n, t in enumerate(tables)}
+    parent = list(range(len(tables)))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for t in tables:
+        for move in moves:
+            nxt = dense_apply_move(t, move, 1)
+            if nxt is not None:
+                parent[root(index[t])] = root(index[nxt])
+    return len({root(n) for n in range(len(tables))})

@@ -271,6 +271,19 @@ def test_basis_json_and_max_degree(capsys):
     assert len(out.splitlines()) == 18
 
 
+def test_max_degree_below_2_exits_2(capsys, tmp_path):
+    f = tmp_path / "start.grid"
+    f.write_text("3 4\n1110\n1000\n1001\n")
+    for argv in (
+        ("basis", "--I", "3", "--J", "3"),
+        ("walk", "--start", str(f), "--steps", "5", "--seed", "1"),
+        ("verify", "--margins", "3,1,2", "3,1,1,1"),
+    ):
+        code, out, err = run(capsys, *argv, "--max-degree", "1")
+        assert (code, out) == (2, "")
+        assert "max_degree must be at least 2" in err and "2..3" in err
+
+
 def test_walk_final_state_only(capsys, tmp_path):
     f = tmp_path / "start.grid"
     f.write_text("3 4\n1110\n1000\n1001\n")

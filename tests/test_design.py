@@ -37,6 +37,13 @@ def test_fraction_rejects_non_integer_coordinates():
         fraction([(1.5, 1)], 2, 2)
 
 
+def test_booleans_are_not_levels_or_sizes():
+    with pytest.raises(ValueError, match="non-integer"):
+        fraction([(True, 1), (2, 2)], 2, 2)
+    with pytest.raises(ValueError, match="pair of integers"):
+        check_size(True, 3)
+
+
 @pytest.mark.parametrize("I,J", [(1, 2), (2, 1), (0, 0), (2, -3)])
 def test_check_size_rejects_degenerate(I, J):
     with pytest.raises(ValueError):

@@ -31,6 +31,18 @@ def test_grid_tolerates_surrounding_whitespace():
     assert points == ((1, 1), (2, 2))
 
 
+def test_grid_skips_leading_blank_lines():
+    plain = parse_fraction_text("3 4\n1100\n0110\n0011\n")
+    assert parse_fraction_text("\n  \n3 4\n1100\n0110\n0011\n") == plain
+    assert parse_fraction_text("\n1100\n0110\n0011\n") == plain
+    with pytest.raises(ParseError) as err:
+        parse_fraction_text("\n\n3 3\n111\n120\n100\n")
+    assert (err.value.line, err.value.column) == (5, 2)
+    with pytest.raises(ParseError) as err:
+        parse_fraction_text("\n3 4\n1100\n0110\n")
+    assert err.value.line == 2
+
+
 def test_json_input():
     text = '{"I":3,"J":4,"points":[[1,1],[1,2],[2,2],[2,3],[3,3],[3,4]]}'
     points, I, J = parse_fraction_text(text)
@@ -87,6 +99,13 @@ def test_json_errors():
         parse_fraction_text('{"I": "2", "J": 2, "points": []}')
     with pytest.raises(ParseError):
         parse_fraction_text('[1, 2]')
+
+
+def test_json_rejects_booleans():
+    for text in ('{"I": true, "J": 3, "points": []}',
+                 '{"I": 2, "J": 2, "points": [[true, 1], [2, 2]]}'):
+        with pytest.raises(ParseError, match="integer"):
+            parse_fraction_text(text)
 
 
 def test_json_duplicate_and_range_errors():

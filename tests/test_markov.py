@@ -1,5 +1,6 @@
 """Circuit moves, fibers, and the fixed-margin chain."""
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from satfrac.design import CapExceeded, from_table, table_margins
 from satfrac.markov import (
     Circuit,
     FiberReport,
+    MoveBasis,
     apply_move,
     basis_size,
     circuit_to_move,
@@ -101,6 +103,35 @@ def test_basis_max_degree():
     assert markov_basis(3, 4, max_degree=2) == markov_basis(3, 4)[:18]
 
 
+def test_basis_rejects_max_degree_below_2():
+    for degree in (1, 0, -3):
+        with pytest.raises(ValueError, match=r"at least 2.*2\.\.3"):
+            markov_basis(3, 4, max_degree=degree)
+        with pytest.raises(ValueError, match=r"2\.\.3"):
+            basis_size(4, 3, max_degree=degree)
+
+
+@pytest.mark.parametrize(
+    "I,J,max_degree",
+    [(2, 2, None), (2, 5, None), (3, 4, None), (4, 3, None), (4, 5, None), (3, 4, 2), (5, 5, 3)],
+)
+def test_basis_decodes_to_circuit_moves_in_order(I, J, max_degree):
+    top = min(I, J) if max_degree is None else max_degree
+    want = [circuit_to_move(c, I, J) for k in range(2, top + 1) for c in circuits(I, J, k)]
+    basis = markov_basis(I, J, max_degree)
+    assert isinstance(basis, MoveBasis) and basis.shape == (I, J)
+    assert list(basis) == want
+    assert [basis[n] for n in range(len(basis))] == want
+    assert basis[-1] == want[-1]
+    assert basis == tuple(want) and tuple(want) == basis
+    assert basis != tuple(want[:-1]) and basis != list(want)
+    assert hash(basis) == hash(tuple(want))
+    assert isinstance(basis[1:4], MoveBasis) and basis[1:4] == tuple(want[1:4])
+    assert set(basis) == set(want)
+    with pytest.raises(IndexError):
+        basis[len(want)]
+
+
 def test_basis_cap():
     with pytest.raises(CapExceeded):
         markov_basis(6, 6, cap=10)
@@ -152,6 +183,15 @@ def test_apply_move_validates_input():
         apply_move(((1, 0),), ((1, -1), (-1, 1)), 1)
 
 
+def test_apply_move_rejects_non_binary_input():
+    with pytest.raises(ValueError, match="0/1"):
+        apply_move(((2, 0), (0, 1)), ((1, -1), (-1, 1)), -1)
+    with pytest.raises(ValueError, match=r"\{-1, 0, 1\}"):
+        apply_move(((1, 0), (0, 1)), ((2, -2), (-2, 2)), -1)
+    with pytest.raises(ValueError, match="ragged"):
+        apply_move(((1, 0), (0,)), ((1, -1), (-1, 1)), 1)
+
+
 def test_rigid_table_admits_no_move():
     moves = markov_basis(3, 4)
     assert all(
@@ -193,6 +233,64 @@ def test_walk_stays_on_margins_and_is_deterministic():
     assert all(table_margins(s) == table_margins(THREE_TABLE_START) for s in states)
     again = list(walk_states(THREE_TABLE_START, basis, 300, seed=9))
     assert states == again
+
+
+def test_walk_checks_basis_before_the_first_state():
+    dead = [((2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 0, 0))]
+    for basis, message in (
+        (markov_basis(3, 3), "3 x 3 grid"),
+        (list(markov_basis(3, 3)), "3 x 3 but"),
+        (dead, r"\{-1, 0, 1\}"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            walk_states(THREE_TABLE_START, basis, 0, seed=1)
+        with pytest.raises(ValueError, match=message):
+            verify_connectivity((3, 1, 2), (3, 1, 1, 1), basis=basis)
+    # an empty fiber does not skip the check
+    assert fiber_enumerate((4, 0, 0), (0, 2, 2, 0)) == []
+    with pytest.raises(ValueError, match="3 x 3 grid"):
+        verify_connectivity((4, 0, 0), (0, 2, 2, 0), basis=markov_basis(3, 3))
+
+
+def _dense_basis(I, J, max_degree=None):
+    """The basis as plain nested tuples; equal rows are shared to keep
+    the 6 x 6 list small."""
+    rows = {}
+    return [tuple(rows.setdefault(r, r) for r in m) for m in markov_basis(I, J, max_degree)]
+
+
+@pytest.mark.parametrize(
+    "I,J,max_degree,steps",
+    [(2, 3, None, 2000), (3, 4, None, 2000), (4, 4, None, 3000), (6, 6, None, 20000),
+     (10, 10, 2, 5000)],
+)
+def test_walk_matches_dense_oracle(I, J, max_degree, steps):
+    basis = markov_basis(I, J, max_degree)
+    moves = _dense_basis(I, J, max_degree)
+
+    def target(t):
+        return 2.0 ** sum(t[i][i] for i in range(min(I, J)))
+
+    # a checkerboard start admits every degree-2 move; a random one may
+    # admit none
+    checkerboard = tuple(tuple((i + j) % 2 for j in range(J)) for i in range(I))
+    rng = random.Random(I * J)
+    noise = tuple(tuple(rng.randrange(2) for _ in range(J)) for _ in range(I))
+    for seed, start in ((0, checkerboard), (1, checkerboard), (2, noise)):
+        for weight in (None, target):
+            want = oracles.dense_walk(start, moves, steps, seed, weight)
+            assert start is noise or len(set(want)) > 1
+            assert list(walk_states(start, basis, steps, seed, target=weight)) == want
+        if len(moves) < 1000:
+            assert list(walk_states(start, moves, steps, seed)) == oracles.dense_walk(
+                start, moves, steps, seed
+            )
+
+
+def test_walk_repeats_the_same_object_on_rejection():
+    states = list(walk_states(THREE_TABLE_START, markov_basis(3, 4), 300, seed=9))
+    for prev, cur in zip(states, states[1:]):
+        assert cur is prev or cur != prev
 
 
 def test_walk_zero_steps_returns_start():
@@ -279,6 +377,25 @@ def test_all_positive_margin_3x4_fibers_connect():
     for mA in oracles.compositions(6, 3):
         for mB in oracles.compositions(6, 4):
             assert verify_connectivity(mA, mB, basis=basis).connected
+
+
+def test_connectivity_matches_dense_oracle_on_3x4_fibers():
+    # every 3 x 4 fiber with positive margins, under the full and the
+    # degree-2 basis
+    for max_degree in (None, 2):
+        basis = markov_basis(3, 4, max_degree)
+        moves = list(basis)
+        for total in range(4, 13):
+            for mA in oracles.compositions(total, 3):
+                if max(mA) > 4:
+                    continue
+                for mB in oracles.compositions(total, 4):
+                    if max(mB) > 3:
+                        continue
+                    tables = oracles.brute_fiber(mA, mB)
+                    report = verify_connectivity(mA, mB, basis=basis)
+                    assert report.fiber_size == len(tables)
+                    assert report.components == oracles.dense_components(tables, moves)
 
 
 def test_degree_2_moves_witness_scan():
