@@ -16,6 +16,7 @@ invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -386,10 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call, not at import, and reused for the rest of
+# the process: parse_args keeps its results in a fresh Namespace per call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -73,40 +73,44 @@ def _adjacency(points):
 def find_cycle(points: Iterable[Point]) -> Optional[Points]:
     """A k-cycle contained in the point set, or None if there is none.
 
-    Deterministic: scans points in lexicographic order for the smallest
-    one lying on a cycle, then closes it through a shortest alternating
-    path (breadth-first, smallest level first).
+    Deterministic: takes the smallest point lying on a cycle, then closes
+    it through a shortest alternating path (breadth-first, smallest level
+    first).  One union-find pass inserts the points in descending order;
+    a point that fails to join two components lies on a cycle, and the
+    smallest point on any cycle always fails (the rest of its cycle is
+    larger, so already inserted), so the last failure is the smallest
+    point on a cycle.
     """
     pts = sorted(set(points))
-    for p in pts:
-        rest = [q for q in pts if q != p]
-        uf = UnionFind()
-        for i, j in rest:
-            uf.union(("A", i), ("B", j))
-        a, b = ("A", p[0]), ("B", p[1])
-        if a not in uf.parent or b not in uf.parent or uf.find(a) != uf.find(b):
-            continue
-        # p closes a cycle; recover the path a -> b avoiding p itself
-        adj = _adjacency(rest)
-        parent = {a: None}
-        queue = deque([a])
-        while queue:
-            v = queue.popleft()
-            if v == b:
-                break
-            for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-        cycle = [p]
-        v = b
-        while parent[v] is not None:
-            u = parent[v]
-            edge = (u[1], v[1]) if u[0] == "A" else (v[1], u[1])
-            cycle.append(edge)
-            v = u
-        return tuple(sorted(cycle))
-    return None
+    uf = UnionFind()
+    p = None
+    for q in reversed(pts):
+        if not uf.union(("A", q[0]), ("B", q[1])):
+            p = q
+    if p is None:
+        return None
+    a, b = ("A", p[0]), ("B", p[1])
+    rest = [q for q in pts if q != p]
+    # p closes a cycle; recover the path a -> b avoiding p itself
+    adj = _adjacency(rest)
+    parent = {a: None}
+    queue = deque([a])
+    while queue:
+        v = queue.popleft()
+        if v == b:
+            break
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    cycle = [p]
+    v = b
+    while parent[v] is not None:
+        u = parent[v]
+        edge = (u[1], v[1]) if u[0] == "A" else (v[1], u[1])
+        cycle.append(edge)
+        v = u
+    return tuple(sorted(cycle))
 
 
 def _partner_maps(points):

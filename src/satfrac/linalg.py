@@ -3,9 +3,19 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .design import Point, check_size, fraction, full_grid
+from .design import Point, fraction, full_grid
 
 Matrix = tuple[tuple[int, ...], ...]
+
+
+def _model_row(i: int, j: int, I: int, J: int) -> tuple[int, ...]:
+    row = [0] * (I + J - 1)
+    row[0] = 1
+    if i < I:
+        row[i] = 1
+    if j < J:
+        row[I - 1 + j] = 1
+    return tuple(row)
 
 
 def full_model_matrix(I: int, J: int) -> Matrix:
@@ -15,14 +25,7 @@ def full_model_matrix(I: int, J: int) -> Matrix:
     of columns 1..J-1 (the last level of each factor is the reference).
     Rows follow lexicographic point order.
     """
-    check_size(I, J)
-    rows = []
-    for i, j in full_grid(I, J):
-        row = [1]
-        row += [1 if i == a else 0 for a in range(1, I)]
-        row += [1 if j == b else 0 for b in range(1, J)]
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(_model_row(i, j, I, J) for i, j in full_grid(I, J))
 
 
 def restrict(X: Matrix, points: Iterable[Point], I: int, J: int) -> Matrix:
@@ -34,7 +37,8 @@ def restrict(X: Matrix, points: Iterable[Point], I: int, J: int) -> Matrix:
 
 
 def model_matrix(points: Iterable[Point], I: int, J: int) -> Matrix:
-    return restrict(full_model_matrix(I, J), points, I, J)
+    """Model-matrix rows of the fraction's points, in canonical point order."""
+    return tuple(_model_row(i, j, I, J) for i, j in fraction(points, I, J))
 
 
 def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:

@@ -378,7 +378,7 @@ def _check_fiber_margins(mA, mB):
         if not vec:
             raise ValueError(f"{name} is empty")
         for x in vec:
-            if not isinstance(x, int) or x < 0:
+            if type(x) is not int or x < 0:
                 raise ValueError(f"{name} entry {x!r} invalid: fiber margins are integers >= 0")
     if sum(mA) != sum(mB):
         raise ValueError(f"margin sums differ: {sum(mA)} vs {sum(mB)}")

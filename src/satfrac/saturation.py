@@ -35,7 +35,7 @@ def _check_margin_vectors(mA, mB) -> tuple[tuple[int, ...], tuple[int, ...]]:
     check_size(I, J)
     for name, vec in (("mA", mA), ("mB", mB)):
         for x in vec:
-            if not isinstance(x, int) or x < 1:
+            if type(x) is not int or x < 1:
                 raise ValueError(f"{name} entry {x!r} invalid: margins must be integers >= 1")
     p = I + J - 1
     if sum(mA) != p or sum(mB) != p:

@@ -11,6 +11,7 @@ import fractions
 import itertools
 import math
 import random
+from collections import deque
 
 
 def compositions(total, parts):
@@ -30,6 +31,74 @@ def _adjacency(points):
         adj.setdefault(("A", i), []).append(("B", j))
         adj.setdefault(("B", j), []).append(("A", i))
     return adj
+
+
+def _connected(edges, a, b):
+    """Whether a and b are joined by the edges, by a fresh union-find."""
+    parent = {}
+
+    def root(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    return a in parent and b in parent and root(a) == root(b)
+
+
+def slow_find_cycle(points):
+    """The package's original O(p^2) cycle finder: for each point in
+    lexicographic order, rebuild the graph without it and ask whether its
+    ends are still connected; the first such point is closed through a
+    breadth-first path over sorted neighbour lists."""
+    pts = sorted(set(points))
+    for p in pts:
+        rest = [q for q in pts if q != p]
+        a, b = ("A", p[0]), ("B", p[1])
+        if not _connected([(("A", i), ("B", j)) for i, j in rest], a, b):
+            continue
+        adj = _adjacency(rest)
+        for nbrs in adj.values():
+            nbrs.sort()
+        parent = {a: None}
+        queue = deque([a])
+        while queue:
+            v = queue.popleft()
+            if v == b:
+                break
+            for w in adj[v]:
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+        cycle = [p]
+        v = b
+        while parent[v] is not None:
+            u = parent[v]
+            cycle.append((u[1], v[1]) if u[0] == "A" else (v[1], u[1]))
+            v = u
+        return tuple(sorted(cycle))
+    return None
+
+
+def random_tree_fraction(I, J, rng):
+    """A random spanning tree of K(I, J) as a sorted point set: one row and
+    one column start it joined, then every other level, in shuffled
+    order, joins a random already placed level of the other factor."""
+    rows, cols = list(range(1, I + 1)), list(range(1, J + 1))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    placed = {"A": [rows.pop()], "B": [cols.pop()]}
+    points = [(placed["A"][0], placed["B"][0])]
+    rest = [("A", i) for i in rows] + [("B", j) for j in cols]
+    rng.shuffle(rest)
+    for side, level in rest:
+        mate = rng.choice(placed["B" if side == "A" else "A"])
+        points.append((level, mate) if side == "A" else (mate, level))
+        placed[side].append(level)
+    return sorted(points)
 
 
 def component_count(points):

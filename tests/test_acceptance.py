@@ -259,3 +259,13 @@ def test_c11_equivalence_class_regression():
         "\n[PASS] C11: 4x4 fractions fall into 9 permutation/transpose"
         " classes; both repeated margin-type pairs have >= 2 classes"
     )
+
+
+def test_find_cycle_linear_time_guard():
+    # one union-find pass plus one BFS; the old per-point rebuild took ~0.15 s
+    tree = oracles.random_tree_fraction(150, 150, random.Random(150))
+    assert oracles.is_tree_fraction(tree, 150, 150)
+    assert sf.find_cycle(tree) is None
+    best = min(_timed(lambda: sf.find_cycle(tree)) for _ in range(3))
+    assert best < 0.05
+    print(f"\n[PASS] find_cycle on a 150x150 spanning tree in {best * 1e3:.2f} ms")

@@ -386,3 +386,18 @@ def test_enumerate_round_trip_both_formats(capsys):
     from_grid = [parse_fraction_text(b) for b in grid_out.split("\n\n")]
     assert from_json == from_grid
     assert len(from_json) == 81
+
+
+def test_cached_parser_leaks_no_state(capsys, cycle_file):
+    lone = subprocess.run(
+        [sys.executable, "-m", "satfrac.cli", "check", cycle_file],
+        capture_output=True,
+        text=True,
+    )
+    assert lone.returncode == 1
+    code, out, _ = run(capsys, "check", cycle_file, "--oracle", "--json")
+    assert code == 1 and check_report(out)["status"] == "fail"
+    assert run(capsys, "check", cycle_file) == (1, lone.stdout, lone.stderr)
+    code, _, err = run(capsys, "check", cycle_file, "--no-such-flag")
+    assert code == 2 and "--no-such-flag" in err
+    assert run(capsys, "check", cycle_file) == (1, lone.stdout, lone.stderr)

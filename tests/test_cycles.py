@@ -1,5 +1,6 @@
 """Cycle detection, OA decomposition, and cycle counting."""
 import itertools
+import random
 
 import pytest
 
@@ -190,3 +191,35 @@ def test_distinct_point_sets_carry_their_decomposition_multiplicity():
     for points, owners in by_set.items():
         expected = 2 ** (oracles.component_count(points) - 1)
         assert len(owners) == expected
+
+
+def _one_cycle_fraction(I, J, rng):
+    """A spanning tree plus one grid point it lacks: exactly one cycle."""
+    tree = oracles.random_tree_fraction(I, J, rng)
+    taken = set(tree)
+    while True:
+        extra = (rng.randint(1, I), rng.randint(1, J))
+        if extra not in taken:
+            return tree + [extra]
+
+
+def test_find_cycle_matches_slow_route_on_random_subsets():
+    rng = random.Random(20121)
+    for _ in range(3000):
+        I, J = rng.randint(2, 8), rng.randint(2, 8)
+        grid = list(itertools.product(range(1, I + 1), range(1, J + 1)))
+        sub = rng.sample(grid, rng.randint(0, len(grid)))
+        assert find_cycle(sub) == oracles.slow_find_cycle(sub), (I, J, sub)
+
+
+def test_find_cycle_matches_slow_route_on_trees_and_one_cycle_fractions():
+    rng = random.Random(20122)
+    for _ in range(60):
+        I, J = rng.randint(2, 60), rng.randint(2, 60)
+        tree = oracles.random_tree_fraction(I, J, rng)
+        assert oracles.is_tree_fraction(tree, I, J)
+        assert find_cycle(tree) is None and oracles.slow_find_cycle(tree) is None
+        one = _one_cycle_fraction(I, J, rng)
+        got = find_cycle(one)
+        assert got is not None and _is_single_cycle(got)
+        assert got == oracles.slow_find_cycle(one), (I, J, one)

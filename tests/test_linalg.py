@@ -1,5 +1,6 @@
 """Model matrices and exact integer determinants."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +44,35 @@ def test_model_matrix_of_known_fraction():
         (1, 0, 0, 0, 0, 1),
         (1, 0, 0, 0, 0, 0),
     )
+
+
+def _error(thunk):
+    with pytest.raises(ValueError) as info:
+        thunk()
+    return str(info.value)
+
+
+def test_model_matrix_matches_restricted_full_matrix():
+    rng = random.Random(20123)
+    for _ in range(300):
+        I, J = rng.randint(2, 7), rng.randint(2, 7)
+        grid = list(itertools.product(range(1, I + 1), range(1, J + 1)))
+        pts = rng.sample(grid, rng.randint(0, len(grid)))
+        rng.shuffle(pts)
+        got = model_matrix(pts, I, J)
+        assert got == restrict(full_model_matrix(I, J), pts, I, J)
+        # the model's definition: mean, then row and column indicators
+        assert got == tuple(
+            tuple([1] + [int(i == a) for a in range(1, I)] + [int(j == b) for b in range(1, J)])
+            for i, j in sorted(pts)
+        )
+        bad = rng.choice([(0, 1), (I + 1, 1), (1, J + 1), (1, 0)])
+        for wrong in [pts + [bad]] + ([pts + [pts[0]]] if pts else []):
+            old = _error(lambda: restrict(full_model_matrix(I, J), wrong, I, J))
+            assert _error(lambda: model_matrix(wrong, I, J)) == old
+    for I, J in ((1, 3), (True, 3), (3, 2.0)):
+        old = _error(lambda: restrict(full_model_matrix(I, J), [], I, J))
+        assert _error(lambda: model_matrix([], I, J)) == old
 
 
 def test_determinant_base_cases():

@@ -221,6 +221,14 @@ def test_fiber_rejects_bad_margins():
         fiber_enumerate((-1, 3), (1, 1))
 
 
+def test_fiber_margins_refuse_booleans():
+    # True == 1, but a boolean is not a margin
+    with pytest.raises(ValueError, match="True"):
+        fiber_enumerate((True, 1), (1, True))
+    with pytest.raises(ValueError, match="True"):
+        verify_connectivity((True, 1), (1, True))
+
+
 def test_fiber_cap():
     with pytest.raises(CapExceeded):
         fiber_enumerate((3, 3, 3, 3), (3, 3, 3, 3), cap=5)

@@ -106,6 +106,14 @@ def test_generate_rejects_bad_margins():
         next(generate_with_margins((3, 1, 1), (3, 1, 1, 1)))
 
 
+def test_margin_vectors_refuse_booleans():
+    # True == 1, but a boolean is not a margin
+    with pytest.raises(ValueError, match="True"):
+        count_with_margins((3, True, 2), (3, 1, 1, 1))
+    with pytest.raises(ValueError, match="True"):
+        next(generate_with_margins((3, 1, 2), (3, 1, True, 1)))
+
+
 @pytest.mark.parametrize("I,J", [(3, 4), (4, 4)])
 def test_generate_matches_count_and_margins(I, J):
     p = I + J - 1
