@@ -8,9 +8,12 @@ margins, bad flags, or a failed `--oracle` cross-check).
 Verbs that produce one result (`check`, `matrix`, `det`, `count`,
 `decompose`, `find-cycle`, `verify`) take `--json` and then emit a report
 object {status, payload, diagnostics}.  Verbs that produce streams
-(`enumerate`, `generate`, `sample`, `basis`, `walk`, `fiber`) emit one
-record per line as JSON, or blank-line-separated grids with
-`--format grid`.  All randomness comes from `--seed`; repeated
+(`enumerate`, `generate`, `sample`, `basis`, `walk`, `fiber`) all write
+through one writer: one record per line as JSON, or blank-line-separated
+grids with `--format grid`.  `generate --margins A B` is another spelling
+of `enumerate --margins A B`, which needs no `--I/--J`.  `--cap` bounds
+the items a verb may enumerate, fixed-margin fractions included, and
+defaults to DEFAULT_CAP.  All randomness comes from `--seed`; repeated
 invocations are byte-identical.
 """
 from __future__ import annotations
@@ -22,7 +25,7 @@ import os
 import random
 import sys
 
-from .design import CapExceeded, to_table
+from .design import DEFAULT_CAP, CapExceeded, to_table
 from .linalg import (
     full_model_matrix,
     integer_determinant,
@@ -45,6 +48,7 @@ from .fileio import (
     render_grid,
     render_json,
     render_signed_table,
+    render_table,
 )
 
 
@@ -61,31 +65,42 @@ def _report(args, ok: bool, payload: dict, human: str, notes: list[str] | None =
     return 0 if ok else 1
 
 
-def _cap_kwargs(args) -> dict:
-    return {} if args.cap is None else {"cap": args.cap}
-
-
 def _margins_pair(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
     a, b = args.margins
     return parse_margin_vector(a), parse_margin_vector(b)
 
 
-def _write_fraction(points, I, J, fmt: str, first: bool) -> None:
-    if fmt == "grid":
-        if not first:
-            sys.stdout.write("\n")
-        sys.stdout.write(render_grid(points, I, J))
-    else:
-        sys.stdout.write(render_json(points, I, J) + "\n")
+def _size_or_margins(args):
+    """(I, J, margins): the shape of --margins, checked against any --I/--J,
+    with margins the parsed pair; else --I and --J, with margins None."""
+    if args.margins is not None:
+        mA, mB = _margins_pair(args)
+        for flag, given, vec, side in (("--I", args.I, mA, "A"), ("--J", args.J, mB, "B")):
+            if given is not None and given != len(vec):
+                raise ParseError(f"{flag} {given} conflicts with a {len(vec)}-entry {side} margin list")
+        return len(mA), len(mB), (mA, mB)
+    if args.I is None or args.J is None:
+        raise ParseError(f"{args.verb} needs --I and --J, or --margins")
+    return args.I, args.J, None
 
 
-def _write_table(table, fmt: str, first: bool) -> None:
+def _stream(records, fmt: str, grid, line) -> int:
+    """Write each record as grid(record) blocks separated by one blank line,
+    or as one line(record) per line."""
+    write = sys.stdout.write
     if fmt == "grid":
-        if not first:
-            sys.stdout.write("\n")
-        sys.stdout.write("".join("".join(str(v) for v in row) + "\n" for row in table))
+        sep = ""
+        for record in records:
+            write(sep + grid(record))
+            sep = "\n"
     else:
-        sys.stdout.write(json.dumps([list(row) for row in table]) + "\n")
+        for record in records:
+            write(line(record) + "\n")
+    return 0
+
+
+def _table_json(table) -> str:
+    return json.dumps([list(row) for row in table])
 
 
 def cmd_check(args) -> int:
@@ -130,59 +145,32 @@ def cmd_det(args) -> int:
     return _report(args, True, {"determinant": d, "saturated": d != 0}, str(d))
 
 
-def _check_margin_shape(args, mA, mB) -> None:
-    if args.I is not None and args.I != len(mA):
-        raise ParseError(f"--I {args.I} conflicts with a {len(mA)}-entry A margin list")
-    if args.J is not None and args.J != len(mB):
-        raise ParseError(f"--J {args.J} conflicts with a {len(mB)}-entry B margin list")
-
-
 def cmd_count(args) -> int:
-    if args.margins is not None:
-        mA, mB = _margins_pair(args)
-        _check_margin_shape(args, mA, mB)
-        n = count_with_margins(mA, mB)
-    elif args.I is not None and args.J is not None:
-        n = count_saturated(args.I, args.J)
-    else:
-        raise ParseError("count needs --I and --J, or --margins")
+    I, J, margins = _size_or_margins(args)
+    n = count_saturated(I, J) if margins is None else count_with_margins(*margins)
     return _report(args, True, {"count": n}, str(n))
 
 
 def cmd_enumerate(args) -> int:
-    if args.margins is not None:
-        mA, mB = _margins_pair(args)
-        _check_margin_shape(args, mA, mB)
-        stream = generate_with_margins(mA, mB)
+    I, J, margins = _size_or_margins(args)
+    if margins is None:
+        fractions = enumerate_saturated(I, J, cap=args.cap)
     else:
-        stream = enumerate_saturated(args.I, args.J, **_cap_kwargs(args))
-    first = True
-    for points in stream:
-        _write_fraction(points, args.I, args.J, args.format, first)
-        first = False
-    return 0
-
-
-def cmd_generate(args) -> int:
-    mA, mB = _margins_pair(args)
-    I, J = len(mA), len(mB)
-    first = True
-    for points in generate_with_margins(mA, mB):
-        _write_fraction(points, I, J, args.format, first)
-        first = False
-    return 0
+        total = count_with_margins(*margins)
+        if total > args.cap:
+            raise CapExceeded(f"{total} saturated fractions exceed the cap of {args.cap}")
+        fractions = generate_with_margins(*margins)
+    return _stream(fractions, args.format,
+                   lambda f: render_grid(f, I, J), lambda f: render_json(f, I, J))
 
 
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise ParseError("--count must be at least 1")
-    rng = random.Random(args.seed)
-    first = True
-    for _ in range(args.count):
-        points = sample_uniform_saturated(args.I, args.J, rng)
-        _write_fraction(points, args.I, args.J, args.format, first)
-        first = False
-    return 0
+    I, J, rng = args.I, args.J, random.Random(args.seed)
+    draws = (sample_uniform_saturated(I, J, rng) for _ in range(args.count))
+    return _stream(draws, args.format,
+                   lambda f: render_grid(f, I, J), lambda f: render_json(f, I, J))
 
 
 def cmd_decompose(args) -> int:
@@ -203,51 +191,40 @@ def cmd_find_cycle(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    moves = markov_basis(args.I, args.J, max_degree=args.max_degree, **_cap_kwargs(args))
-    first = True
-    for move in moves:
-        if args.format == "grid":
-            if not first:
-                sys.stdout.write("\n")
-            sys.stdout.write(render_signed_table(move))
-        else:
-            sys.stdout.write(json.dumps([list(r) for r in move]) + "\n")
-        first = False
-    return 0
+    moves = markov_basis(args.I, args.J, max_degree=args.max_degree, cap=args.cap)
+    return _stream(moves, args.format, render_signed_table, _table_json)
 
 
 def cmd_walk(args) -> int:
     points, I, J = parse_fraction_file(args.start)
     start = to_table(points, I, J)
-    basis = markov_basis(I, J, max_degree=args.max_degree, **_cap_kwargs(args))
+    basis = markov_basis(I, J, max_degree=args.max_degree, cap=args.cap)
     every = args.emit_every
     if every is not None and every < 1:
         raise ParseError("--emit-every must be at least 1")
-    last, first, final_done = start, True, False
-    for step, state in enumerate(walk_states(start, basis, args.steps, args.seed), 1):
-        last = state
-        if every is not None and step % every == 0:
-            _write_table(state, args.format, first)
-            first = False
-            final_done = step == args.steps
-    if not final_done:
-        _write_table(last, args.format, first)
-    return 0
+    states = walk_states(start, basis, args.steps, args.seed)
+
+    def emitted():  # every M-th state, then the final one unless it was just emitted
+        state, shown = start, False
+        for step, state in enumerate(states, 1):
+            shown = every is not None and step % every == 0
+            if shown:
+                yield state
+        if not shown:
+            yield state
+
+    return _stream(emitted(), args.format, render_table, _table_json)
 
 
 def cmd_fiber(args) -> int:
     mA, mB = _margins_pair(args)
-    first = True
-    for table in fiber_enumerate(mA, mB, **_cap_kwargs(args)):
-        _write_table(table, args.format, first)
-        first = False
-    return 0
+    return _stream(fiber_enumerate(mA, mB, cap=args.cap), args.format, render_table, _table_json)
 
 
 def cmd_verify(args) -> int:
     mA, mB = _margins_pair(args)
-    basis = markov_basis(len(mA), len(mB), max_degree=args.max_degree, **_cap_kwargs(args))
-    rep = verify_connectivity(mA, mB, basis=basis, **_cap_kwargs(args))
+    basis = markov_basis(len(mA), len(mB), max_degree=args.max_degree, cap=args.cap)
+    rep = verify_connectivity(mA, mB, basis=basis, cap=args.cap)
     payload = {
         "connected": rep.connected,
         "fiber_size": rep.fiber_size,
@@ -286,7 +263,7 @@ def _add_format(p, default: str) -> None:
 
 
 def _add_cap(p) -> None:
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="abort with exit 1 if the enumeration would exceed this many items")
 
 
@@ -322,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="stream every saturated fraction of an IxJ design")
-    _add_size(p, required=True)
+    _add_size(p, required=False)
     _add_margins(p, required=False)
     _add_format(p, "json")
     _add_cap(p)
@@ -331,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="stream every saturated fraction with the given margins")
     _add_margins(p)
     _add_format(p, "json")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_enumerate, I=None, J=None, cap=DEFAULT_CAP)
 
     p = sub.add_parser("sample", help="draw saturated fractions uniformly at random")
     _add_size(p, required=True)

@@ -16,6 +16,9 @@ Points = tuple[Point, ...]
 Table = tuple[tuple[int, ...], ...]
 
 
+DEFAULT_CAP = 10_000_000
+
+
 class CapExceeded(ValueError):
     """An enumeration or basis build would outgrow its configured cap."""
 

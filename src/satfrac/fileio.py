@@ -9,10 +9,15 @@ non-whitespace '{' means JSON.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from typing import Iterable
 
 from .design import Point, Points, Table, fraction, to_table
+
+
+# An optional '-' then ASCII digits: str.isdigit() also passes '²', which int() refuses.
+_is_int_token = re.compile(r"-?[0-9]+").fullmatch
 
 
 class ParseError(ValueError):
@@ -64,7 +69,7 @@ def _parse_grid(text: str) -> tuple[Points, int, int]:
     header = None
     body_start = first
     tokens = lines[first].split()
-    if len(tokens) == 2 and all(t.lstrip("-").isdigit() for t in tokens):
+    if len(tokens) == 2 and all(map(_is_int_token, tokens)):
         header = (int(tokens[0]), int(tokens[1]))
         body_start = first + 1
     body = lines[body_start:]
@@ -117,17 +122,20 @@ def parse_fraction_file(path: str) -> tuple[Points, int, int]:
 def parse_margin_vector(text: str) -> tuple[int, ...]:
     """Comma-separated margin list, e.g. '3,1,2'."""
     parts = [p.strip() for p in text.split(",")]
-    if not all(p.lstrip("-").isdigit() for p in parts):
+    if not all(map(_is_int_token, parts)):
         raise ParseError(f"bad margin list {text!r}: expected comma-separated integers")
     return tuple(int(p) for p in parts)
 
 
+def render_table(table: Table) -> str:
+    """0/1 grid text of a table: one line of digits per row, newline-terminated."""
+    return "".join("".join(map(str, row)) + "\n" for row in table)
+
+
 def render_grid(points: Iterable[Point], I: int, J: int, header: bool = True) -> str:
     """Grid text of a fraction, newline-terminated, header included by default."""
-    table = to_table(points, I, J)
-    lines = [f"{I} {J}"] if header else []
-    lines.extend("".join(str(v) for v in row) for row in table)
-    return "\n".join(lines) + "\n"
+    body = render_table(to_table(points, I, J))
+    return f"{I} {J}\n{body}" if header else body
 
 
 def render_json(points: Iterable[Point], I: int, J: int) -> str:

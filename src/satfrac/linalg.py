@@ -78,7 +78,5 @@ def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
 
 def is_saturated_by_determinant(points: Iterable[Point], I: int, J: int) -> bool:
     """Saturation test on the algebra side: p = I+J-1 points and det(X_F) != 0."""
-    f = fraction(points, I, J)
-    if len(f) != I + J - 1:
-        return False
-    return integer_determinant(model_matrix(f, I, J)) != 0
+    X = model_matrix(points, I, J)
+    return len(X) == I + J - 1 and integer_determinant(X) != 0

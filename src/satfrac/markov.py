@@ -33,11 +33,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .cycles import UnionFind
-from .design import CapExceeded, Table, check_size
+from .design import DEFAULT_CAP, CapExceeded, Table, check_size
 
 Move = Table  # I x J integer grid, entries in {-1, 0, +1}
-
-DEFAULT_CAP = 10_000_000
 
 
 @dataclass(frozen=True)

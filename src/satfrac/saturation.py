@@ -18,9 +18,7 @@ from fractions import Fraction as Rational
 from typing import Iterable, Iterator
 
 from .cycles import contains_cycle
-from .design import CapExceeded, Point, Points, check_size, fraction, margins
-
-DEFAULT_CAP = 10_000_000
+from .design import DEFAULT_CAP, CapExceeded, Point, Points, check_size, fraction, margins
 
 
 def is_saturated(points: Iterable[Point], I: int, J: int) -> bool:

@@ -151,10 +151,11 @@ def test_count_margins_with_matching_size(capsys):
 
 
 def test_count_margins_size_conflict(capsys):
-    code, _, err = run(
-        capsys, "count", "--I", "3", "--J", "4", "--margins", "4,1,1,1", "4,1,1,1"
-    )
-    assert code == 2 and "conflict" in err
+    for verb in ("count", "enumerate"):
+        code, _, err = run(
+            capsys, verb, "--I", "3", "--J", "4", "--margins", "4,1,1,1", "4,1,1,1"
+        )
+        assert code == 2 and "conflict" in err
 
 
 def test_count_needs_arguments(capsys):
@@ -199,6 +200,35 @@ def test_enumerate_cap_exit(capsys):
     code, _, err = run(capsys, "enumerate", "--I", "4", "--J", "4", "--cap", "10")
     assert code == 1
     assert "cap" in err
+
+
+def test_enumerate_margins_needs_no_size_and_equals_generate(capsys):
+    margins = ("--margins", "2,2,2,1", "2,2,2,1")
+    for fmt in ("json", "grid"):
+        generated = run(capsys, "generate", *margins, "--format", fmt)
+        assert generated[0] == 0 and generated[1] and not generated[2]
+        assert run(capsys, "enumerate", *margins, "--format", fmt) == generated
+        sized = run(capsys, "enumerate", "--I", "4", "--J", "4", *margins, "--format", fmt)
+        assert sized == generated
+
+
+def test_enumerate_margins_cap_exit(capsys):
+    # 36 fractions carry these margins
+    for size in ((), ("--I", "4", "--J", "4")):
+        code, out, err = run(
+            capsys, "enumerate", *size, "--margins", "2,2,2,1", "2,2,2,1", "--cap", "35"
+        )
+        assert (code, out) == (1, "")
+        assert "cap" in err
+    code, out, _ = run(capsys, "enumerate", "--margins", "2,2,2,1", "2,2,2,1", "--cap", "36")
+    assert code == 0 and len(out.splitlines()) == 36
+
+
+def test_enumerate_needs_size_or_margins(capsys):
+    for argv in (("enumerate",), ("enumerate", "--I", "3")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "needs --I and --J, or --margins" in err
 
 
 def test_generate(capsys):
@@ -351,6 +381,21 @@ def test_parse_error_exit(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(f))
     assert code == 2
     assert "line 2" in err
+
+
+def test_header_tokens_must_be_ascii_integers(capsys, tmp_path):
+    f = tmp_path / "dash.grid"
+    f.write_text("--3 4\n1100\n0110\n0011\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid character '-' (line 1, column 1)\n"
+
+
+def test_margin_tokens_must_be_ascii_integers(capsys):
+    for bad in ("3,\u00b2", "3,--3", "3,\u0663"):
+        code, out, err = run(capsys, "count", "--margins", bad, "1,1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad margin list {bad!r}")
 
 
 def test_missing_file_exit(capsys, tmp_path):
