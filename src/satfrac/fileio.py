@@ -1,10 +1,10 @@
 """Reading and writing fractions, tables, moves, and margin vectors.
 
-Two fraction formats.  Grid: an optional "I J" header line, then I lines
-of J characters from {0,1}.  JSON: {"I": int, "J": int, "points":
-[[i, j], ...]} with 1-based coordinates, one object per line when
-streamed.  The format of an input is auto-detected: a first
-non-whitespace '{' means JSON.
+Two fraction formats.  Grid: an optional "I J" header line (a first line
+of two tokens), then I lines of J characters from {0,1}.  JSON: {"I":
+int, "J": int, "points": [[i, j], ...]} with 1-based coordinates, one
+object per line when streamed.  The format of an input is auto-detected:
+a first non-whitespace '{' means JSON.
 """
 from __future__ import annotations
 
@@ -69,7 +69,11 @@ def _parse_grid(text: str) -> tuple[Points, int, int]:
     header = None
     body_start = first
     tokens = lines[first].split()
-    if len(tokens) == 2 and all(map(_is_int_token, tokens)):
+    if len(tokens) == 2:  # a grid row has no inner whitespace
+        if not all(map(_is_int_token, tokens)):
+            raise ParseError(
+                f"bad header {lines[first].strip()!r}: expected two integers I J", line=first + 1
+            )
         header = (int(tokens[0]), int(tokens[1]))
         body_start = first + 1
     body = lines[body_start:]

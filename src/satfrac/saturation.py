@@ -6,10 +6,14 @@ precisely when its incidence graph is cycle-free, i.e. a spanning tree
 of the complete bipartite graph K_{I,J}.  The three views (cardinality
 plus acyclicity, non-zero determinant, spanning tree) are implemented
 through independent routes and cross-checked in the tests.
+
+One code-pair decoder, _decode_tree, maps each (row code, column code)
+pair bijectively to a spanning tree.  Counting, enumeration, margin
+generation and uniform sampling all rest on it: a level's margin is one
+plus its count in the code.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
@@ -73,65 +77,57 @@ def saturation_probability(I: int, J: int) -> Rational:
     return Rational(count_saturated(I, J), math.comb(I * J, I + J - 1))
 
 
+def _arrangements(counts) -> Iterator[tuple[int, ...]]:
+    """Every distinct arrangement, in lexicographic order, of the code in
+    which level k+1 appears counts[k] times (next-permutation steps)."""
+    code = [k for k, c in enumerate(counts, 1) for _ in range(c)]
+    n = len(code)
+    while True:
+        yield tuple(code)
+        i = n - 2
+        while i >= 0 and code[i] >= code[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while code[j] <= code[i]:
+            j -= 1
+        code[i], code[j] = code[j], code[i]
+        code[i + 1:] = code[:i:-1]
+
+
 def generate_with_margins(mA: Iterable[int], mB: Iterable[int]) -> Iterator[Points]:
     """Yield every saturated fraction with exactly these margins, once each.
 
-    Peel-off recursion: while columns are at least as numerous as rows,
-    fix the first column whose margin is 1; its single point may sit in
-    any row that still has margin >= 2 (a margin-1 partner would leave a
-    disconnected edge, hence a cycle elsewhere).  Place it, drop the
-    column, recurse; with more rows than columns the roles swap.  Margin
-    vectors are taken in the order given, no sorting, so the emitted
-    fractions wear the caller's labels; the stream is depth-first over
-    the placement choices, smallest admissible level first.
+    A level's margin is one plus its count in the tree code, so these are
+    the trees whose row code holds row i mA[i]-1 times and whose column
+    code holds column j mB[j]-1 times.  Both codes run in lexicographic
+    order: the stream is enumerate_saturated's, restricted to the margins.
     """
     mA, mB = _check_margin_vectors(mA, mB)
     I, J = len(mA), len(mB)
-    rowm = {i: mA[i - 1] for i in range(1, I + 1)}
-    colm = {j: mB[j - 1] for j in range(1, J + 1)}
-    placed: list[Point] = []
+    row_counts = [a - 1 for a in mA]
+    col_counts = [b - 1 for b in mB]
 
-    def peel(rows: tuple[int, ...], cols: tuple[int, ...]) -> Iterator[Points]:
-        if len(rows) == 1 and len(cols) == 1:
-            placed.append((rows[0], cols[0]))
-            yield tuple(sorted(placed))
-            placed.pop()
-            return
-        if len(cols) >= len(rows):
-            j = next(c for c in cols if colm[c] == 1)
-            rest = tuple(c for c in cols if c != j)
-            for g in rows:
-                if rowm[g] < 2:
-                    continue
-                rowm[g] -= 1
-                placed.append((g, j))
-                yield from peel(rows, rest)
-                placed.pop()
-                rowm[g] += 1
-        else:
-            i = next(r for r in rows if rowm[r] == 1)
-            rest = tuple(r for r in rows if r != i)
-            for h in cols:
-                if colm[h] < 2:
-                    continue
-                colm[h] -= 1
-                placed.append((i, h))
-                yield from peel(rest, cols)
-                placed.pop()
-                colm[h] += 1
+    def stream() -> Iterator[Points]:
+        for acode in _arrangements(row_counts):
+            for bcode in _arrangements(col_counts):
+                yield _decode_tree(acode, bcode, I, J)
 
-    return peel(tuple(range(1, I + 1)), tuple(range(1, J + 1)))
+    return stream()
 
 
 def _decode_tree(acode, bcode, I: int, J: int) -> Points:
-    """Spanning tree of K_{I,J} from a code pair.
+    """Spanning tree of K_{I,J} from a code pair, in linear time.
 
-    Vertices 0..I-1 are rows, I..I+J-1 are columns.  Degrees are read off
-    the codes (one plus the number of occurrences); the smallest current
-    leaf is attached to the next unread entry of the opposite side's
-    code.  Every code pair yields a distinct tree and the pair count
-    I^(J-1) J^(I-1) equals the tree count, so this enumerates without
-    deduplication.
+    Vertices 0..I-1 are rows, I..I+J-1 are columns.  The row code acode
+    (J-1 rows) and the column code bcode (I-1 columns) give the degrees:
+    one plus the number of occurrences.  The smallest current leaf is
+    attached to the next unread entry of the opposite side's code.  A
+    scan pointer finds that leaf: a vertex that becomes a leaf below the
+    pointer is the smallest, otherwise the scan moves forward.  Every
+    code pair yields a distinct tree and the pair count I^(J-1) J^(I-1)
+    equals the tree count, so this enumerates without deduplication.
     """
     n = I + J
     deg = [1] * n
@@ -139,26 +135,28 @@ def _decode_tree(acode, bcode, I: int, J: int) -> Points:
         deg[a - 1] += 1
     for b in bcode:
         deg[I + b - 1] += 1
-    leaves = [v for v in range(n) if deg[v] == 1]
-    heapq.heapify(leaves)
+    ptr = leaf = deg.index(1)
     ia = ib = 0
-    edges = []
+    points = []
     for _ in range(n - 2):
-        v = heapq.heappop(leaves)
-        if v < I:
+        deg[leaf] = 0
+        if leaf < I:
             u = I + bcode[ib] - 1
             ib += 1
+            points.append((leaf + 1, u - I + 1))
         else:
             u = acode[ia] - 1
             ia += 1
-        edges.append((v, u) if v < I else (u, v))
-        deg[v] = 0
+            points.append((u + 1, leaf - I + 1))
         deg[u] -= 1
-        if deg[u] == 1:
-            heapq.heappush(leaves, u)
-    last = [v for v in range(n) if deg[v] == 1]
-    edges.append(tuple(sorted(last)))
-    return tuple(sorted((r + 1, c - I + 1) for r, c in edges))
+        if deg[u] == 1 and u < ptr:
+            leaf = u
+        else:
+            ptr = leaf = deg.index(1, ptr + 1)
+    # one row and one column remain
+    points.append((deg.index(1) + 1, deg.index(1, I) - I + 1))
+    points.sort()
+    return tuple(points)
 
 
 def enumerate_saturated(I: int, J: int, cap: int = DEFAULT_CAP) -> Iterator[Points]:
@@ -183,34 +181,16 @@ def enumerate_saturated(I: int, J: int, cap: int = DEFAULT_CAP) -> Iterator[Poin
 def sample_uniform_saturated(I: int, J: int, seed) -> Points:
     """One saturated fraction, exactly uniform over all of them.
 
-    Wilson's algorithm: from each vertex not yet in the tree, run a
-    random walk on K_{I,J} keeping only the latest exit pointer per
-    vertex (implicit loop erasure), then commit the walked path.  The
-    resulting spanning tree is uniform regardless of the root or scan
-    order.  Pass an int seed for reproducible draws, or a
+    Draws a uniform code pair (J-1 rows, then I-1 columns) and decodes
+    it; the decode is a bijection onto the spanning trees, so the tree is
+    uniform too.  Pass an int seed for reproducible draws, or a
     random.Random instance to continue an existing stream.
     """
     check_size(I, J)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = I + J
-    in_tree = [False] * n
-    exit_to = [0] * n
-    in_tree[0] = True
-    for start in range(1, n):
-        v = start
-        while not in_tree[v]:
-            exit_to[v] = I + rng.randrange(J) if v < I else rng.randrange(I)
-            v = exit_to[v]
-        v = start
-        while not in_tree[v]:
-            in_tree[v] = True
-            v = exit_to[v]
-    points = []
-    for v in range(1, n):
-        u = exit_to[v]
-        r, c = (v, u) if v < I else (u, v)
-        points.append((r + 1, c - I + 1))
-    return tuple(sorted(points))
+    acode = [rng.randrange(1, I + 1) for _ in range(J - 1)]
+    bcode = [rng.randrange(1, J + 1) for _ in range(I - 1)]
+    return _decode_tree(acode, bcode, I, J)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ computed with these functions.
 from __future__ import annotations
 
 import fractions
+import heapq
 import itertools
 import math
 import random
@@ -129,6 +130,39 @@ def is_tree_fraction(points, I, J):
     if len(adj) != I + J:
         return False
     return component_count(points) == 1
+
+
+def heap_decode_tree(acode, bcode, I, J):
+    """The package's original tree decoder: a spanning tree of K(I, J)
+    from a (row code, column code) pair, with a heap of current leaves.
+    Rows are vertices 0..I-1, columns I..I+J-1; the smallest leaf joins
+    the next unread entry of the other side's code."""
+    n = I + J
+    deg = [1] * n
+    for a in acode:
+        deg[a - 1] += 1
+    for b in bcode:
+        deg[I + b - 1] += 1
+    leaves = [v for v in range(n) if deg[v] == 1]
+    heapq.heapify(leaves)
+    ia = ib = 0
+    edges = []
+    for _ in range(n - 2):
+        v = heapq.heappop(leaves)
+        if v < I:
+            u = I + bcode[ib] - 1
+            ib += 1
+        else:
+            u = acode[ia] - 1
+            ia += 1
+        edges.append((v, u) if v < I else (u, v))
+        deg[v] = 0
+        deg[u] -= 1
+        if deg[u] == 1:
+            heapq.heappush(leaves, u)
+    last = [v for v in range(n) if deg[v] == 1]
+    edges.append(tuple(sorted(last)))
+    return tuple(sorted((r + 1, c - I + 1) for r, c in edges))
 
 
 def brute_saturated(I, J):

@@ -388,7 +388,15 @@ def test_header_tokens_must_be_ascii_integers(capsys, tmp_path):
     f.write_text("--3 4\n1100\n0110\n0011\n")
     code, out, err = run(capsys, "check", str(f))
     assert (code, out) == (2, "")
-    assert err == "error: invalid character '-' (line 1, column 1)\n"
+    assert err == "error: bad header '--3 4': expected two integers I J (line 1)\n"
+
+
+def test_header_with_non_integer_token_names_the_header(capsys, tmp_path):
+    f = tmp_path / "super.grid"
+    f.write_text("3 \u00b2\n110\n011\n001\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: bad header '3 \u00b2': expected two integers I J (line 1)\n"
 
 
 def test_margin_tokens_must_be_ascii_integers(capsys):

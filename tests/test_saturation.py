@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from satfrac import saturation
 from satfrac.cycles import contains_cycle
 from satfrac.design import CapExceeded, margins
 from satfrac.linalg import is_saturated_by_determinant
@@ -134,7 +135,7 @@ def test_generate_handles_unsorted_margins():
 
 
 def test_generate_transposed_orientation():
-    # more rows than columns exercises the column-peel branch
+    # more rows than columns: the column code is longer than the row code
     fs = list(generate_with_margins((3, 1, 1, 1), (4, 1, 1)))
     assert len(fs) == count_with_margins((3, 1, 1, 1), (4, 1, 1))
 
@@ -149,9 +150,36 @@ def test_enumeration_matches_brute_force(I, J):
 def test_enumeration_filtered_by_margins_equals_generation():
     by_margins = {}
     for f in enumerate_saturated(3, 4):
-        by_margins.setdefault(margins(f, 3, 4), set()).add(f)
+        by_margins.setdefault(margins(f, 3, 4), []).append(f)
     for (mA, mB), fs in by_margins.items():
-        assert set(generate_with_margins(mA, mB)) == fs
+        assert list(generate_with_margins(mA, mB)) == fs
+
+
+# every grid with at most about 40,000 trees, 4x5 and 3x7 included
+SMALL_GRIDS = [
+    (I, J) for I in range(2, 13) for J in range(2, 13) if count_saturated(I, J) <= 40000
+]
+
+
+@pytest.mark.parametrize("I,J", SMALL_GRIDS)
+def test_enumeration_equals_heap_decoder_stream(I, J):
+    expected = (
+        oracles.heap_decode_tree(acode, bcode, I, J)
+        for acode in itertools.product(range(1, I + 1), repeat=J - 1)
+        for bcode in itertools.product(range(1, J + 1), repeat=I - 1)
+    )
+    assert list(enumerate_saturated(I, J)) == list(expected)
+
+
+def test_decoder_equals_heap_decoder_on_random_codes():
+    rng = random.Random(505)
+    for _ in range(5000):
+        I, J = rng.randint(2, 40), rng.randint(2, 40)
+        acode = [rng.randint(1, I) for _ in range(J - 1)]
+        bcode = [rng.randint(1, J) for _ in range(I - 1)]
+        assert saturation._decode_tree(acode, bcode, I, J) == oracles.heap_decode_tree(
+            acode, bcode, I, J
+        )
 
 
 def test_enumeration_cap():
@@ -179,10 +207,12 @@ def test_sampler_accepts_shared_generator():
 
 
 def test_sampler_2x2_frequencies():
-    counts = Counter(sample_uniform_saturated(2, 2, seed) for seed in range(10000))
-    assert sorted(counts) == sorted(oracles.brute_saturated(2, 2))
-    for n in counts.values():
-        assert abs(n / 10000 - 0.25) < 0.02
+    # 2x3 is not square, so a row/column mix-up in the code draw shows
+    for I, J in [(2, 2), (2, 3)]:
+        counts = Counter(sample_uniform_saturated(I, J, seed) for seed in range(10000))
+        assert sorted(counts) == sorted(oracles.brute_saturated(I, J))
+        for n in counts.values():
+            assert abs(n / 10000 - 1 / count_saturated(I, J)) < 0.02
 
 
 def test_margin_lemma_on_square_saturated_fractions():
