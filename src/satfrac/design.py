@@ -34,10 +34,15 @@ def check_size(I: int, J: int) -> None:
 def fraction(points: Iterable[Point], I: int, J: int) -> Points:
     """Validate and canonicalize a point collection for the I x J grid.
 
-    Raises ValueError on out-of-range levels or duplicate points.
+    Raises ValueError on out-of-range levels or duplicate points, at the
+    first offending point in iteration order.  Strictly increasing input,
+    which cannot hold a duplicate, takes a linear route and comes back as
+    it is; anything else is deduplicated through a set and sorted.
     """
     check_size(I, J)
-    seen = set()
+    out: list[Point] = []
+    last = (0, 0)
+    seen = None
     for p in points:
         if not (isinstance(p, tuple) and len(p) == 2):
             raise ValueError(f"point {p!r} is not a pair")
@@ -46,10 +51,16 @@ def fraction(points: Iterable[Point], I: int, J: int) -> Points:
             raise ValueError(f"point {p!r} has non-integer levels")
         if not (1 <= i <= I and 1 <= j <= J):
             raise ValueError(f"point ({i}, {j}) outside the {I} x {J} grid")
+        if seen is None:
+            if p > last:
+                out.append(p)
+                last = p
+                continue
+            seen = set(out)
         if p in seen:
             raise ValueError(f"duplicate point ({i}, {j})")
         seen.add(p)
-    return tuple(sorted(seen))
+    return tuple(out) if seen is None else tuple(sorted(seen))
 
 
 def full_grid(I: int, J: int) -> Points:

@@ -5,6 +5,10 @@ of two tokens), then I lines of J characters from {0,1}.  JSON: {"I":
 int, "J": int, "points": [[i, j], ...]} with 1-based coordinates, one
 object per line when streamed.  The format of an input is auto-detected:
 a first non-whitespace '{' means JSON.
+
+One render path: render_json and render_grid validate their points
+through design.fraction and build the text directly.  A JSON record is
+byte-for-byte what json.dumps({"I": I, "J": J, "points": ...}) gives.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import re
 import sys
 from typing import Iterable
 
-from .design import Point, Points, Table, fraction, to_table
+from .design import Point, Points, Table, fraction
 
 
 # An optional '-' then ASCII digits: str.isdigit() also passes '²', which int() refuses.
@@ -138,14 +142,18 @@ def render_table(table: Table) -> str:
 
 def render_grid(points: Iterable[Point], I: int, J: int, header: bool = True) -> str:
     """Grid text of a fraction, newline-terminated, header included by default."""
-    body = render_table(to_table(points, I, J))
+    f = fraction(points, I, J)
+    grid = bytearray(b"0" * J + b"\n") * I
+    for i, j in f:
+        grid[(i - 1) * (J + 1) + j - 1] = 49  # ord("1")
+    body = grid.decode()
     return f"{I} {J}\n{body}" if header else body
 
 
 def render_json(points: Iterable[Point], I: int, J: int) -> str:
-    """One-line JSON object for a fraction."""
+    """One-line JSON object for a fraction, byte-identical to json.dumps."""
     f = fraction(points, I, J)
-    return json.dumps({"I": I, "J": J, "points": [[i, j] for i, j in f]})
+    return '{"I": %d, "J": %d, "points": [%s]}' % (I, J, ", ".join(map("[%d, %d]".__mod__, f)))
 
 
 def render_signed_table(table: Table) -> str:

@@ -234,12 +234,15 @@ def markov_basis(
 
     max_degree truncates the basis (degree 2 alone gives the classical
     swap moves); below 2 it is refused.  Refuses to build more than cap
-    moves.  The moves come in circuits() order, degree by degree.
+    moves, naming the size of the degree-2 basis when the refused one
+    goes higher.  The moves come in circuits() order, degree by degree.
     """
     top = _top_degree(I, J, max_degree)
     total = basis_size(I, J, max_degree)
     if total > cap:
-        raise CapExceeded(f"basis would hold {total} moves, over the cap of {cap}")
+        hint = f"; max_degree=2 (--max-degree 2) gives {basis_size(I, J, 2)} swap moves"
+        raise CapExceeded(f"basis would hold {total} moves, over the cap of {cap}"
+                          + (hint if top > 2 else ""))
     # cell[i][j] is the bit of (i, j); a move's masks sum one bit per edge
     cell = [[0] * (J + 1)] + [
         [0] + [1 << ((i - 1) * J + j - 1) for j in range(1, J + 1)] for i in range(1, I + 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import fractions
 import heapq
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -82,6 +83,45 @@ def slow_find_cycle(points):
             v = u
         return tuple(sorted(cycle))
     return None
+
+
+def slow_fraction(points, I, J):
+    """The package's original fraction(): validate each point in order,
+    refuse duplicates through a set, return the set sorted."""
+    if not (type(I) is int and type(J) is int):
+        raise ValueError("design size must be a pair of integers")
+    if I < 2 or J < 2:
+        raise ValueError(f"design size must be at least 2 x 2, got {I} x {J}")
+    seen = set()
+    for p in points:
+        if not (isinstance(p, tuple) and len(p) == 2):
+            raise ValueError(f"point {p!r} is not a pair")
+        i, j = p
+        if not (type(i) is int and type(j) is int):
+            raise ValueError(f"point {p!r} has non-integer levels")
+        if not (1 <= i <= I and 1 <= j <= J):
+            raise ValueError(f"point ({i}, {j}) outside the {I} x {J} grid")
+        if p in seen:
+            raise ValueError(f"duplicate point ({i}, {j})")
+        seen.add(p)
+    return tuple(sorted(seen))
+
+
+def slow_render_json(points, I, J):
+    """The package's original JSON record: json.dumps of the canonical fraction."""
+    f = slow_fraction(points, I, J)
+    return json.dumps({"I": I, "J": J, "points": [[i, j] for i, j in f]})
+
+
+def slow_render_grid(points, I, J, header=True):
+    """The package's original grid text: a dense 0/1 table by one set
+    lookup per cell, one line of digits per row."""
+    f = set(slow_fraction(points, I, J))
+    body = "".join(
+        "".join("1" if (i, j) in f else "0" for j in range(1, J + 1)) + "\n"
+        for i in range(1, I + 1)
+    )
+    return f"{I} {J}\n{body}" if header else body
 
 
 def random_tree_fraction(I, J, rng):

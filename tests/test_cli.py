@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: output text, exit codes, determinism."""
+import hashlib
 import io
 import json
 import subprocess
@@ -454,3 +455,44 @@ def test_cached_parser_leaks_no_state(capsys, cycle_file):
     code, _, err = run(capsys, "check", cycle_file, "--no-such-flag")
     assert code == 2 and "--no-such-flag" in err
     assert run(capsys, "check", cycle_file) == (1, lone.stdout, lone.stderr)
+
+
+# sha256 of stdout, pinned so that any byte change in a stream shows here.
+GOLDEN_STREAMS = [
+    pytest.param(("enumerate", "--I", "3", "--J", "4"),
+                 "4656c106bb53a88b6f1f407dbfda1e547215582ec0f16ce3c39beede84fd5724",
+                 id="enumerate-3x4-json"),
+    pytest.param(("enumerate", "--I", "3", "--J", "4", "--format", "grid"),
+                 "cfab585e753bcecb0af925cb9c82b1d2fe383f54694dab262f76bb07117ba7ea",
+                 id="enumerate-3x4-grid"),
+    pytest.param(("generate", "--margins", "2,2,2", "2,1,2,1"),
+                 "0bf5ca3eccb7a3dabdcc53ef442a6061237501454df6486bbfcb595a641622db",
+                 id="generate-json"),
+    pytest.param(("sample", "--I", "30", "--J", "40", "--count", "200", "--seed", "5"),
+                 "4d2824a9fc4c3c89599e802523f69318c70de45be5a83393081c3abce348d726",
+                 id="sample-30x40-json"),
+    pytest.param(("sample", "--I", "30", "--J", "40", "--count", "200", "--seed", "5",
+                  "--format", "grid"),
+                 "22a72b6a912703bfa33e632b4640d742d44ae7818341ef5d9c92243adb3c910c",
+                 id="sample-30x40-grid"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STREAMS)
+def test_golden_stream_digest(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_walk_over_cap_names_the_swap_basis(capsys, tmp_path):
+    f = tmp_path / "start.grid"
+    f.write_text("".join("1" * k + "0" * (8 - k) + "\n" for k in range(1, 9)))
+    code, out, err = run(capsys, "walk", "--start", str(f), "--steps", "5", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert "basis would hold 256485040 moves, over the cap of 10000000" in err
+    assert "max_degree=2 (--max-degree 2) gives 784 swap moves" in err
+    code, out, _ = run(
+        capsys, "walk", "--start", str(f), "--steps", "5", "--seed", "1", "--max-degree", "2"
+    )
+    assert code == 0 and out

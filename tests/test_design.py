@@ -1,4 +1,7 @@
 """Point sets, tables, margins, and their validation."""
+import random
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +14,8 @@ from satfrac.design import (
     table_margins,
     to_table,
 )
+
+import oracles
 
 
 def test_fraction_sorts_points():
@@ -35,6 +40,65 @@ def test_fraction_rejects_duplicates():
 def test_fraction_rejects_non_integer_coordinates():
     with pytest.raises(ValueError):
         fraction([(1.5, 1)], 2, 2)
+
+
+def _outcome(fn, points, I, J):
+    """(result, element types) or (exception type, message) of one call."""
+    try:
+        got = fn(iter(points), I, J)
+    except Exception as e:
+        return type(e), str(e)
+    return got, [type(p) for p in got]
+
+
+LevelPair = namedtuple("LevelPair", "i j")
+
+
+def _fraction_inputs(rng):
+    """Seeded point lists of every kind fraction() must judge like the slow route."""
+    for _ in range(1500):
+        I, J = rng.randint(2, 8), rng.randint(2, 8)
+        cells = [(i, j) for i in range(1, I + 1) for j in range(1, J + 1)]
+        pts = sorted(rng.sample(cells, rng.randint(0, len(cells))))
+        kind = rng.randrange(9)
+        if kind == 1:
+            rng.shuffle(pts)
+        elif kind == 2 and pts:
+            pts.insert(rng.randint(0, len(pts)), rng.choice(pts))
+        elif kind == 3:
+            bad = rng.choice([(0, 1), (1, 0), (I + 1, 1), (1, J + 1), (-1, 2)])
+            pts.insert(rng.randint(0, len(pts)), bad)
+        elif kind == 4:
+            bad = rng.choice([(1.0, 1), (1, "2"), (None, 1), (1, 2.5), ([1], 1)])
+            pts.insert(rng.randint(0, len(pts)), bad)
+        elif kind == 5:
+            bad = rng.choice([(True, 1), (1, False), (True, True)])
+            pts.insert(rng.randint(0, len(pts)), bad)
+        elif kind == 6:
+            bad = rng.choice([[1, 1], (1, 1, 1), (1,), 7, "11", None])
+            pts.insert(rng.randint(0, len(pts)), bad)
+        elif kind == 7:
+            pts = [LevelPair(*p) if rng.random() < 0.5 else p for p in pts]
+            if pts and rng.random() < 0.3:  # a namedtuple equal to a plain pair
+                pts.insert(rng.randint(0, len(pts)), LevelPair(*rng.choice(pts)))
+            if rng.random() < 0.3:
+                rng.shuffle(pts)
+        elif kind == 8 and len(pts) > 1:  # increasing, then one step back
+            k = rng.randrange(1, len(pts))
+            pts[k - 1], pts[k] = pts[k], pts[k - 1]
+        yield pts, I, J
+    for I, J in ((1, 3), (3, 1), (True, 3), (2.0, 3)):
+        yield [(1, 1)], I, J
+
+
+def test_fraction_matches_slow_route():
+    rng = random.Random(606)
+    seen_kinds = set()
+    for points, I, J in _fraction_inputs(rng):
+        fast = _outcome(fraction, points, I, J)
+        assert fast == _outcome(oracles.slow_fraction, points, I, J), (points, I, J)
+        seen_kinds.add(fast[0] if isinstance(fast[0], type) else "ok")
+    assert seen_kinds == {"ok", ValueError}
 
 
 def test_booleans_are_not_levels_or_sizes():

@@ -1,4 +1,6 @@
 """Grid and JSON fraction formats, margin lists, rendering."""
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,9 @@ from satfrac.fileio import (
     render_json,
     render_signed_table,
 )
+from satfrac.saturation import enumerate_saturated
+
+import oracles
 
 
 def test_grid_with_header():
@@ -152,6 +157,52 @@ def test_render_json_is_one_sorted_line():
     out = render_json([(2, 1), (1, 2)], 2, 2)
     assert out == '{"I": 2, "J": 2, "points": [[1, 2], [2, 1]]}'
     assert "\n" not in out
+
+
+def _render_outcomes(points, I, J):
+    """Every renderer's text, or its exception type and message, fast and slow."""
+    calls = (
+        (render_json, oracles.slow_render_json, ()),
+        (render_grid, oracles.slow_render_grid, ()),
+        (render_grid, oracles.slow_render_grid, (False,)),
+    )
+    out = []
+    for fast, slow, extra in calls:
+        pair = []
+        for fn in (fast, slow):
+            try:
+                pair.append(fn(list(points), I, J, *extra))
+            except Exception as e:
+                pair.append((type(e), str(e)))
+        out.append(pair)
+    return out
+
+
+def test_renderers_match_slow_routes_on_every_3x4_saturated_fraction():
+    fractions = list(enumerate_saturated(3, 4))
+    assert len(fractions) == 432
+    for f in fractions:
+        for fast, slow in _render_outcomes(f, 3, 4):
+            assert fast == slow
+
+
+def test_renderers_match_slow_routes_on_random_subsets():
+    rng = random.Random(6060)
+    for _ in range(1200):
+        I, J = rng.randint(2, 8), rng.randint(2, 8)
+        cells = [(i, j) for i in range(1, I + 1) for j in range(1, J + 1)]
+        pts = rng.sample(cells, rng.randint(0, len(cells)))
+        if rng.random() < 0.5:
+            pts.sort()
+        if pts and rng.random() < 0.1:
+            pts.append(rng.choice(pts))
+        if rng.random() < 0.1:
+            pts.append(rng.choice([(0, 1), (I + 1, J), (True, 1), (1, 2.0)]))
+        for fast, slow in _render_outcomes(pts, I, J):
+            assert fast == slow, (pts, I, J)
+    for I, J in (("3", 4), (3, "4"), (1, 4), (True, 4), (3, 2.0), (-2, -3)):
+        for fast, slow in _render_outcomes([(1, 1)], I, J):
+            assert fast == slow, (I, J)
 
 
 def test_render_signed_table():

@@ -137,6 +137,16 @@ def test_basis_cap():
         markov_basis(6, 6, cap=10)
 
 
+def test_basis_cap_message_names_the_swap_basis_above_degree_2():
+    hint = "; max_degree=2 (--max-degree 2) gives 225 swap moves"
+    with pytest.raises(CapExceeded) as exc:
+        markov_basis(6, 6, max_degree=3, cap=300)
+    assert str(exc.value) == "basis would hold 2625 moves, over the cap of 300" + hint
+    with pytest.raises(CapExceeded) as exc:
+        markov_basis(6, 6, max_degree=2, cap=10)
+    assert str(exc.value) == "basis would hold 225 moves, over the cap of 10"
+
+
 def test_basis_matches_connected_cycle_counts_when_narrow():
     # per degree: one move per circuit, circuits counted by row/column choice
     for I, J in [(2, 5), (3, 3), (3, 6)]:
