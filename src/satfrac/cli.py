@@ -40,7 +40,8 @@ from .saturation import (
     generate_with_margins,
     sample_uniform_saturated,
 )
-from .markov import fiber_enumerate, markov_basis, verify_connectivity, walk_states
+from .markov import (_check_fiber_margins, fiber_enumerate, markov_basis,
+                     verify_connectivity, walk_states)
 from .fileio import (
     ParseError,
     parse_fraction_file,
@@ -196,12 +197,14 @@ def cmd_basis(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    points, I, J = parse_fraction_file(args.start)
-    start = to_table(points, I, J)
-    basis = markov_basis(I, J, max_degree=args.max_degree, cap=args.cap)
     every = args.emit_every
     if every is not None and every < 1:
         raise ParseError("--emit-every must be at least 1")
+    if args.steps < 0:
+        raise ParseError("--steps must be at least 0")
+    points, I, J = parse_fraction_file(args.start)
+    start = to_table(points, I, J)
+    basis = markov_basis(I, J, max_degree=args.max_degree, cap=args.cap)
     states = walk_states(start, basis, args.steps, args.seed)
 
     def emitted():  # every M-th state, then the final one unless it was just emitted
@@ -222,7 +225,7 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mA, mB = _margins_pair(args)
+    mA, mB = _check_fiber_margins(*_margins_pair(args))
     basis = markov_basis(len(mA), len(mB), max_degree=args.max_degree, cap=args.cap)
     rep = verify_connectivity(mA, mB, basis=basis, cap=args.cap)
     payload = {

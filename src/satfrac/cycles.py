@@ -51,13 +51,18 @@ class UnionFind:
         return True
 
 
+def _cycle_point(pts: list[Point]) -> Optional[Point]:
+    """The smallest of the sorted points pts lying on a cycle, or None."""
+    uf, p = UnionFind(), None
+    for q in reversed(pts):
+        if not uf.union(("A", q[0]), ("B", q[1])):
+            p = q
+    return p
+
+
 def contains_cycle(points: Iterable[Point]) -> bool:
-    """Edge-insertion cycle test: some point joins two already-connected vertices."""
-    uf = UnionFind()
-    for i, j in sorted(set(points)):
-        if not uf.union(("A", i), ("B", j)):
-            return True
-    return False
+    """Some point joins two already-connected vertices: find_cycle's pass."""
+    return _cycle_point(sorted(set(points))) is not None
 
 
 def _adjacency(points):
@@ -82,11 +87,7 @@ def find_cycle(points: Iterable[Point]) -> Optional[Points]:
     point on a cycle.
     """
     pts = sorted(set(points))
-    uf = UnionFind()
-    p = None
-    for q in reversed(pts):
-        if not uf.union(("A", q[0]), ("B", q[1])):
-            p = q
+    p = _cycle_point(pts)
     if p is None:
         return None
     a, b = ("A", p[0]), ("B", p[1])

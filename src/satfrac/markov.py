@@ -19,11 +19,13 @@ masks and the shape: two ints per move, about 80 bytes a move on the
 6 x 6 full basis and 140 on the 20 x 20 degree-2 basis, where a dense
 tuple grid takes 616 and 4,200 bytes.  It decodes dense Move grids on
 indexing and iteration and compares equal to the tuple of those grids.
-Dense tuple tables appear only at the API edge: walk states,
-apply_move results and the tables a target weight function sees.
+Fibers are enumerated as table codes, row mask by row mask.  Dense
+tuple tables appear only at the API edge: walk states, apply_move
+results, fiber tables and the tables a target weight function sees.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -386,39 +388,74 @@ def _check_fiber_margins(mA, mB):
     return mA, mB
 
 
-def fiber_enumerate(mA, mB, cap: int = DEFAULT_CAP) -> list[Table]:
-    """Every 0/1 table with row sums mA and column sums mB.
+def _fiber_count(mA, mB, cap: int) -> int:
+    """Tables in the fiber, or cap + 1 once past cap.
 
-    Backtracking row by row; the upfront C(J, mA[i]) placement product
-    guards against hopeless inputs.
+    Row by row over sorted column remainders, after Miller and Harrison
+    (2013): t ones go on s columns of equal remainder in C(s, t) ways.
+    Remainders the rows left cannot fill (Gale-Ryser) are dropped, so a
+    running total is a lower bound and stops the count at the cap.
     """
-    mA, mB = _check_fiber_margins(mA, mB)
-    I, J = len(mA), len(mB)
-    bound = math.prod(math.comb(J, a) for a in mA)
-    if bound > cap:
-        raise CapExceeded(f"{bound} candidate placements exceed the cap of {cap}")
-    colrem = list(mB)
-    rows: list[tuple[int, ...]] = []
-    out: list[Table] = []
-
-    def fill(i: int) -> None:
-        if i == I:
-            if all(c == 0 for c in colrem):
-                out.append(tuple(rows))
+    def spreads(groups, a, room):  # (ways, remainders after); room: columns with v > 0
+        if not groups:
+            yield from [(1, ())] * (a == 0)
             return
-        for cols in itertools.combinations(range(J), mA[i]):
-            if any(colrem[j] == 0 for j in cols):
-                continue
-            for j in cols:
-                colrem[j] -= 1
-            rows.append(tuple(1 if j in cols else 0 for j in range(J)))
-            fill(i + 1)
-            rows.pop()
-            for j in cols:
-                colrem[j] += 1
+        (v, s), rest = groups[0], groups[1:]
+        for t in range(max(a - room + s, 0), min(s, a) + 1) if v else (0,):
+            for ways, tail in spreads(rest, a - t, room - s):
+                yield math.comb(s, t) * ways, (v,) * (s - t) + (v - 1,) * t + tail
 
-    fill(0)
-    return out
+    fits = [[0] * len(mB)]  # fits[-1 - i][k - 1]: the most ones rows i.. put in k columns
+    for a in reversed(mA):
+        fits.append([f + min(a, k) for k, f in enumerate(fits[-1], 1)])
+    states = {tuple(sorted(mB, reverse=True)): 1}
+    for a, fit in zip(mA, fits[-2::-1]):
+        before, states = states, {}
+        for rem, n in before.items():
+            groups = [(v, len(list(g))) for v, g in itertools.groupby(rem)]
+            for ways, nxt in spreads(groups, a, len(rem) - rem.count(0)):
+                nxt = tuple(sorted(nxt, reverse=True))
+                if all(map(operator.le, itertools.accumulate(nxt), fit)):
+                    states[nxt] = states.get(nxt, 0) + n * ways
+        if sum(states.values()) > cap:
+            return cap + 1
+    return sum(states.values())
+
+
+def _fiber_codes(mA, mB, cap: int) -> list[int]:
+    """The fiber's table codes in fiber_enumerate's order; CapExceeded past cap.
+    Row i takes every column needing a 1 in each row left, the rest from
+    columns needing some."""
+    n = _fiber_count(mA, mB, cap)
+    if n > cap:
+        raise CapExceeded(f"fiber holds more than the cap of {cap} tables")
+    I, J = len(mA), len(mB)
+    codes: list[int] = []
+
+    def fill(i: int, code: int, level: list[int]) -> None:  # level[k]: columns needing k ones
+        need = level[I - i]
+        if i == I - 1:
+            return codes.append(code | need << i * J)
+        free = [1 << j for j in range(J) if not (level[0] | need) >> j & 1]
+        k = mA[i] - need.bit_count()
+        for c in itertools.combinations(free, k) if k >= 0 else ():
+            m = need | sum(c)
+            fill(i + 1, code | m << i * J, [lo & ~m | hi & m for lo, hi in zip(level, level[1:])])
+
+    if n:
+        fill(0, 0, [_mask([b == k for b in mB]) for k in range(I + 1)])
+    return codes
+
+
+def fiber_enumerate(mA, mB, cap: int = DEFAULT_CAP) -> list[Table]:
+    """Every 0/1 table with row sums mA and column sums mB, row by row in
+    itertools.combinations order; equal rows share one tuple.  Over cap
+    tables by the exact count raise CapExceeded before any is built."""
+    mA, mB = _check_fiber_margins(mA, mB)
+    J, full = len(mB), (1 << len(mB)) - 1
+    row = functools.cache(lambda m: tuple(_cells(m, J)))
+    shifts = range(0, len(mA) * J, J)
+    return [tuple([row(code >> s & full) for s in shifts]) for code in _fiber_codes(mA, mB, cap)]
 
 
 @dataclass(frozen=True)
@@ -439,22 +476,20 @@ def verify_connectivity(mA, mB, basis: Optional[Sequence[Move]] = None,
 
     An empty or singleton fiber counts as connected.  basis defaults to
     the full circuit basis of the len(mA) x len(mB) grid; a given basis
-    is checked against that shape before the fiber is enumerated.  The
-    union-find runs over the tables' bit codes.
+    is checked against that shape before the fiber is enumerated.  cap
+    bounds the default basis and the fiber's tables.  The union-find
+    runs over the tables' bit codes; no dense table is built.
     """
     mA, mB = _check_fiber_margins(mA, mB)
     I, J = len(mA), len(mB)
     if basis is None:
         basis = markov_basis(I, J, cap=cap)
     plus, minus = _basis_masks(basis, I, J)
-    codes = [_mask([v for row in t for v in row]) for t in fiber_enumerate(mA, mB, cap)]
-    index = {c: n for n, c in enumerate(codes)}
-    uf = UnionFind()
-    for n in range(len(codes)):
-        uf.find(n)
-    for n, c in enumerate(codes):
+    codes = _fiber_codes(mA, mB, cap)
+    fiber, uf = set(codes), UnionFind()
+    for c in codes:
         for up, down in zip(plus, minus):
-            if c & up == 0 and c & down == down:
-                uf.union(n, index[c ^ up ^ down])
-    components = len({uf.find(n) for n in range(len(codes))})
+            if c & up == 0 and c & down == down and c ^ up ^ down in fiber:
+                uf.union(c, c ^ up ^ down)
+    components = len({uf.find(c) for c in codes})
     return FiberReport(len(codes), components, components <= 1)

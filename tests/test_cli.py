@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -496,3 +497,38 @@ def test_walk_over_cap_names_the_swap_basis(capsys, tmp_path):
         capsys, "walk", "--start", str(f), "--steps", "5", "--seed", "1", "--max-degree", "2"
     )
     assert code == 0 and out
+
+
+def test_walk_and_verify_check_their_input_before_building_a_basis(capsys, tmp_path):
+    # the 8 x 8 full basis is over the default cap, so a basis built first
+    # would answer every case below with the cap error and exit 1
+    f = tmp_path / "start.grid"
+    f.write_text("".join("1" * k + "0" * (8 - k) + "\n" for k in range(1, 9)))
+    walk = ("walk", "--start", str(f), "--seed", "1")
+    ones = ",".join(["1"] * 8)
+    for argv, message in (
+        (walk + ("--steps", "5", "--emit-every", "0"), "--emit-every must be at least 1"),
+        (walk + ("--steps", "-1"), "--steps must be at least 0"),
+        (("verify", "--margins", ones, ones[:-1] + "2"), "margin sums differ: 8 vs 9"),
+        (("verify", "--margins", "2,-1," + ones[4:], ones), "mA entry -1 invalid"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err and "basis would hold" not in err, err
+
+
+def test_fiber_cap_counts_tables(capsys):
+    twos = ",".join(["2"] * 6)
+    code, out, err = run(capsys, "fiber", "--margins", twos, twos)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 67950  # 15**6 row placements, over the default cap
+    code, out, err = run(capsys, "fiber", "--margins", "3,1,2", "3,1,1,1", "--cap", "2")
+    assert (code, out) == (1, "")
+    assert "fiber holds more than the cap of 2 tables" in err
+    code, out, _ = run(capsys, "fiber", "--margins", "3,1,2", "3,1,1,1", "--cap", "3")
+    assert code == 0 and len(out.splitlines()) == 3
+    tens = ",".join(["10"] * 20)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "fiber", "--margins", tens, tens)
+    assert (code, out) == (1, "") and "more than the cap of 10000000 tables" in err
+    assert time.perf_counter() - t0 < 1.0

@@ -1,6 +1,8 @@
 """Circuit moves, fibers, and the fixed-margin chain."""
+import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from satfrac.cycles import count_k_cycles, decompose_cycle
+from satfrac import markov
 from satfrac.design import CapExceeded, from_table, table_margins
 from satfrac.markov import (
     Circuit,
@@ -244,6 +247,58 @@ def test_fiber_cap():
         fiber_enumerate((3, 3, 3, 3), (3, 3, 3, 3), cap=5)
 
 
+def _all_fibers(I, J, sorted_only=False):
+    # every margin pair of an I x J grid with equal sums, zero margins and
+    # empty fibers included; sorted_only keeps the non-increasing ones
+    vectors = (itertools.combinations_with_replacement if sorted_only
+               else lambda levels, n: itertools.product(levels, repeat=n))
+    for mA in vectors(range(J, -1, -1), I):
+        for mB in vectors(range(I, -1, -1), J):
+            if sum(mA) == sum(mB):
+                yield mA, mB
+
+
+def test_fiber_equals_brute_force_in_order_and_cap_counts_tables_on_every_3x4_fiber():
+    fibers = 0
+    for mA, mB in _all_fibers(3, 4):
+        fibers += 1
+        tables = oracles.brute_fiber(mA, mB)
+        n = len(tables)
+        assert fiber_enumerate(mA, mB, cap=n) == tables
+        with pytest.raises(CapExceeded, match=f"more than the cap of {n - 1} tables"):
+            fiber_enumerate(mA, mB, cap=n - 1)
+        with pytest.raises(CapExceeded):
+            verify_connectivity(mA, mB, basis=markov_basis(3, 4, 2), cap=n - 1)
+    assert fibers == 3752
+
+
+def test_fiber_count_matches_known_square_fibers():
+    # OEIS A058527: 2n x 2n 0/1 tables with every row and column sum n
+    known = [2, 90, 297200, 116963796250, 6736218287430460752,
+             64051375889927380035549804336]
+    for n, size in enumerate(known, start=1):
+        m = (n,) * (2 * n)
+        assert markov._fiber_count(m, m, cap=10**40) == size
+        assert markov._fiber_count(m, m, cap=size - 1) == size  # cap + 1: past the cap
+        assert markov._fiber_count(m, m, cap=size) == size
+
+
+def test_fiber_past_the_placement_bound_streams_under_the_default_cap():
+    # 15**6 = 11,390,625 row placements, but 67,950 tables
+    tables = fiber_enumerate((2,) * 6, (2,) * 6)
+    assert len(tables) == 67950 and len(set(tables)) == 67950
+    assert len({id(row) for t in tables for row in t}) <= 15  # one tuple per row mask
+    assert all(table_margins(t) == ((2,) * 6, (2,) * 6) for t in tables[::97])
+    assert len(fiber_enumerate((3,) * 6, (3,) * 6)) == 297200
+
+
+def test_fiber_far_over_the_cap_is_refused_fast():
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="more than the cap of 10000000 tables"):
+        fiber_enumerate((10,) * 20, (10,) * 20)
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_walk_stays_on_margins_and_is_deterministic():
     basis = markov_basis(3, 4)
     states = list(walk_states(THREE_TABLE_START, basis, 300, seed=9))
@@ -417,19 +472,20 @@ def test_connectivity_matches_dense_oracle_on_3x4_fibers():
 
 
 def test_degree_2_moves_witness_scan():
-    # whether degree-2 swaps alone leave some positive-margin 3x4 fiber
-    # disconnected is recorded, not asserted; any witness found must still
-    # connect under the full basis
+    # Ryser's interchange theorem: degree-2 swaps connect every fiber of
+    # 0/1 tables with fixed margins; checked on every sorted-margin fiber
+    # of 3x4, 4x4 and 4x5, zero margins and empty fibers included
+    fibers = 0
+    for I, J in ((3, 4), (4, 4), (4, 5)):
+        reduced = markov_basis(I, J, max_degree=2)
+        for mA, mB in _all_fibers(I, J, sorted_only=True):
+            fibers += 1
+            assert verify_connectivity(mA, mB, basis=reduced).connected, (mA, mB)
+    assert fibers == 1579
     reduced = markov_basis(3, 4, max_degree=2)
-    disconnected = []
     for mA in oracles.compositions(6, 3):
         for mB in oracles.compositions(6, 4):
-            if not verify_connectivity(mA, mB, basis=reduced).connected:
-                disconnected.append((mA, mB))
-    for mA, mB in disconnected:
-        assert verify_connectivity(mA, mB).connected
-    assert verify_connectivity((3, 1, 2), (3, 1, 1, 1), basis=reduced).connected
-    print(f"degree-2-only scan: {len(disconnected)} disconnected fiber(s)")
+            assert verify_connectivity(mA, mB, basis=reduced).connected
 
 
 @given(st.integers(0, 60), st.integers(0, 2**32 - 1))
