@@ -40,8 +40,7 @@ from .saturation import (
     generate_with_margins,
     sample_uniform_saturated,
 )
-from .markov import (_check_fiber_margins, fiber_enumerate, markov_basis,
-                     verify_connectivity, walk_states)
+from .markov import check_fiber_margins, fiber_enumerate, markov_basis, verify_connectivity, walk_states
 from .fileio import (
     ParseError,
     parse_fraction_file,
@@ -225,7 +224,7 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mA, mB = _check_fiber_margins(*_margins_pair(args))
+    mA, mB = check_fiber_margins(*_margins_pair(args))
     basis = markov_basis(len(mA), len(mB), max_degree=args.max_degree, cap=args.cap)
     rep = verify_connectivity(mA, mB, basis=basis, cap=args.cap)
     payload = {

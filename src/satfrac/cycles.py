@@ -53,11 +53,8 @@ class UnionFind:
 
 def _cycle_point(pts: list[Point]) -> Optional[Point]:
     """The smallest of the sorted points pts lying on a cycle, or None."""
-    uf, p = UnionFind(), None
-    for q in reversed(pts):
-        if not uf.union(("A", q[0]), ("B", q[1])):
-            p = q
-    return p
+    uf = UnionFind()
+    return min((q for q in reversed(pts) if not uf.union(("A", q[0]), ("B", q[1]))), default=None)
 
 
 def contains_cycle(points: Iterable[Point]) -> bool:

@@ -19,9 +19,8 @@ masks and the shape: two ints per move, about 80 bytes a move on the
 6 x 6 full basis and 140 on the 20 x 20 degree-2 basis, where a dense
 tuple grid takes 616 and 4,200 bytes.  It decodes dense Move grids on
 indexing and iteration and compares equal to the tuple of those grids.
-Fibers are enumerated as table codes, row mask by row mask.  Dense
-tuple tables appear only at the API edge: walk states, apply_move
-results, fiber tables and the tables a target weight function sees.
+Dense tuple tables appear only at the API edge: walk states, apply_move
+results, fiber_enumerate and the tables a target weight function sees.
 """
 from __future__ import annotations
 
@@ -375,7 +374,8 @@ def metropolis_walk(start, basis: Sequence[Move], target, steps: int, seed) -> T
     return cur
 
 
-def _check_fiber_margins(mA, mB):
+def check_fiber_margins(mA, mB):
+    """(mA, mB) as tuples; ValueError unless both are non-empty, >= 0 ints, equal in sum."""
     mA, mB = tuple(mA), tuple(mB)
     for name, vec in (("mA", mA), ("mB", mB)):
         if not vec:
@@ -389,61 +389,61 @@ def _check_fiber_margins(mA, mB):
 
 
 def _fiber_count(mA, mB, cap: int) -> int:
-    """Tables in the fiber, or cap + 1 once past cap.
-
-    Row by row over sorted column remainders, after Miller and Harrison
-    (2013): t ones go on s columns of equal remainder in C(s, t) ways.
-    Remainders the rows left cannot fill (Gale-Ryser) are dropped, so a
-    running total is a lower bound and stops the count at the cap.
-    """
-    def spreads(groups, a, room):  # (ways, remainders after); room: columns with v > 0
-        if not groups:
-            yield from [(1, ())] * (a == 0)
-            return
-        (v, s), rest = groups[0], groups[1:]
-        for t in range(max(a - room + s, 0), min(s, a) + 1) if v else (0,):
-            for ways, tail in spreads(rest, a - t, room - s):
-                yield math.comb(s, t) * ways, (v,) * (s - t) + (v - 1,) * t + tail
-
-    fits = [[0] * len(mB)]  # fits[-1 - i][k - 1]: the most ones rows i.. put in k columns
+    """Tables in the fiber, or cap + 1 once past cap, after Miller and
+    Harrison (2013): row by row over sorted column remainders, t ones on s
+    equal remainders in C(s, t) ways, on the transpose if its columns have
+    fewer distinct sums.  Spreads are searched without recursion and kept
+    only if the rows left can fill them (Gale-Ryser), so every state is
+    live and the running total, a lower bound, stops the count past cap."""
+    if len(set(mA)) < len(set(mB)):
+        mA, mB = mB, mA
+    fits = [[0] * (len(mB) + 1)]  # fits[-1 - i][k]: the most ones rows i.. put in k columns
     for a in reversed(mA):
-        fits.append([f + min(a, k) for k, f in enumerate(fits[-1], 1)])
+        fits.append([f + min(a, k) for k, f in enumerate(fits[-1])])
     states = {tuple(sorted(mB, reverse=True)): 1}
     for a, fit in zip(mA, fits[-2::-1]):
-        before, states = states, {}
+        before, states, total = states, {}, 0
         for rem, n in before.items():
             groups = [(v, len(list(g))) for v, g in itertools.groupby(rem)]
-            for ways, nxt in spreads(groups, a, len(rem) - rem.count(0)):
-                nxt = tuple(sorted(nxt, reverse=True))
-                if all(map(operator.le, itertools.accumulate(nxt), fit)):
-                    states[nxt] = states.get(nxt, 0) + n * ways
-        if sum(states.values()) > cap:
-            return cap + 1
-    return sum(states.values())
+            stack = [(0, a, (), 0, n)]  # next group, ones left, remainders so far, their sum, ways
+            while stack:
+                g, left, part, tot, ways = stack.pop()
+                if g < len(groups):  # fit is concave: a prefix peaks over it at a group's end
+                    v, s = groups[g]
+                    k = len(part) + s
+                    stack += [(g + 1, left - t, part + (v,) * (s - t) + (v - 1,) * t, tot + v * s - t,
+                               ways * math.comb(s, t)) for t in range(min(s, left) + 1)
+                              if tot + v * s - t <= fit[k]]
+                elif left == 0:
+                    states[part] = states.get(part, 0) + ways
+                    total += ways
+                    if total > cap:
+                        return cap + 1
+    return total
 
 
 def _fiber_codes(mA, mB, cap: int) -> list[int]:
-    """The fiber's table codes in fiber_enumerate's order; CapExceeded past cap.
-    Row i takes every column needing a 1 in each row left, the rest from
+    """The fiber's table codes in fiber_enumerate's order, CapExceeded past cap:
+    row i takes each column needing a 1 in every row left, the rest from any
     columns needing some."""
     n = _fiber_count(mA, mB, cap)
     if n > cap:
         raise CapExceeded(f"fiber holds more than the cap of {cap} tables")
     I, J = len(mA), len(mB)
     codes: list[int] = []
-
-    def fill(i: int, code: int, level: list[int]) -> None:  # level[k]: columns needing k ones
+    level = [_mask([b == k for b in mB]) for k in range(I + 1)]  # level[k]: columns needing k ones
+    stack = [(0, 0, level)] if n else []
+    while stack:
+        i, code, level = stack.pop()
         need = level[I - i]
         if i == I - 1:
-            return codes.append(code | need << i * J)
+            codes.append(code | need << i * J)
+            continue
         free = [1 << j for j in range(J) if not (level[0] | need) >> j & 1]
         k = mA[i] - need.bit_count()
-        for c in itertools.combinations(free, k) if k >= 0 else ():
-            m = need | sum(c)
-            fill(i + 1, code | m << i * J, [lo & ~m | hi & m for lo, hi in zip(level, level[1:])])
-
-    if n:
-        fill(0, 0, [_mask([b == k for b in mB]) for k in range(I + 1)])
+        masks = [need | sum(c) for c in itertools.combinations(free, k)] if k >= 0 else []
+        stack += [(i + 1, code | m << i * J, [lo & ~m | hi & m for lo, hi in zip(level, level[1:])])
+                  for m in reversed(masks)]
     return codes
 
 
@@ -451,7 +451,7 @@ def fiber_enumerate(mA, mB, cap: int = DEFAULT_CAP) -> list[Table]:
     """Every 0/1 table with row sums mA and column sums mB, row by row in
     itertools.combinations order; equal rows share one tuple.  Over cap
     tables by the exact count raise CapExceeded before any is built."""
-    mA, mB = _check_fiber_margins(mA, mB)
+    mA, mB = check_fiber_margins(mA, mB)
     J, full = len(mB), (1 << len(mB)) - 1
     row = functools.cache(lambda m: tuple(_cells(m, J)))
     shifts = range(0, len(mA) * J, J)
@@ -480,7 +480,7 @@ def verify_connectivity(mA, mB, basis: Optional[Sequence[Move]] = None,
     bounds the default basis and the fiber's tables.  The union-find
     runs over the tables' bit codes; no dense table is built.
     """
-    mA, mB = _check_fiber_margins(mA, mB)
+    mA, mB = check_fiber_margins(mA, mB)
     I, J = len(mA), len(mB)
     if basis is None:
         basis = markov_basis(I, J, cap=cap)

@@ -532,3 +532,11 @@ def test_fiber_cap_counts_tables(capsys):
     code, out, err = run(capsys, "fiber", "--margins", tens, tens)
     assert (code, out) == (1, "") and "more than the cap of 10000000 tables" in err
     assert time.perf_counter() - t0 < 1.0
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "fiber", "--margins", ",".join(["15"] * 31),
+                         ",".join(map(str, range(1, 31))))
+    assert (code, out) == (1, "") and "more than the cap of 10000000 tables" in err
+    assert time.perf_counter() - t0 < 1.0
+    code, out, err = run(capsys, "fiber", "--margins", "1" + ",0" * 999, "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [[1]] + [[0]] * 999

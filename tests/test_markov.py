@@ -292,11 +292,37 @@ def test_fiber_past_the_placement_bound_streams_under_the_default_cap():
     assert len(fiber_enumerate((3,) * 6, (3,) * 6)) == 297200
 
 
-def test_fiber_far_over_the_cap_is_refused_fast():
+@pytest.mark.parametrize("mA, mB, seconds", [
+    ((10,) * 20, (10,) * 20, 0.5),
+    ((15,) * 31, tuple(range(1, 31)), 0.5),  # 30 distinct column sums: C(30, 15) spreads of row 0
+    ((20,) * 41, tuple(range(1, 41)), 0.5),
+    ((500,) * 999 + (0,), tuple(range(1000)), 2.0),  # 1,000 distinct column sums
+    (tuple(range(39, 19, -1)) * 3, tuple(range(39, 19, -1)) * 3, 2.0),  # stopped inside a row
+], ids=["20x20", "31x30", "41x40", "1000x1000", "60x60"])
+def test_fiber_far_over_the_cap_is_refused_fast(mA, mB, seconds):
     t0 = time.perf_counter()
-    with pytest.raises(CapExceeded, match="more than the cap of 10000000 tables"):
-        fiber_enumerate((10,) * 20, (10,) * 20)
-    assert time.perf_counter() - t0 < 0.5
+    for rows, cols in ((mA, mB), (mB, mA)):
+        with pytest.raises(CapExceeded, match="more than the cap of 10000000 tables"):
+            fiber_enumerate(rows, cols)
+    assert time.perf_counter() - t0 < seconds
+
+
+def test_fiber_with_hundreds_of_rows_is_enumerated():
+    # a recursion per row would overflow the stack at 1,000 rows
+    assert fiber_enumerate((1,) + (0,) * 999, (1,)) == [((1,),) + ((0,),) * 999]
+    # the staircase fiber holds one table, where row i meets column j iff i + j > 300
+    stair = tuple(range(1, 301))
+    assert markov._fiber_count(stair, stair, cap=1) == 1
+    table = tuple(tuple(int(i + j > 300) for j in stair) for i in stair)
+    assert fiber_enumerate(stair, stair) == [table]
+
+
+def test_fiber_is_empty_when_a_margin_exceeds_the_other_side():
+    # a column sum over the row count, or a row sum over the column count:
+    # the engine must not start on a fiber the count finds empty
+    for mA, mB in (((3,), (3,)), ((2, 2), (3, 1)), ((3, 1), (2, 2))):
+        assert markov._fiber_count(mA, mB, cap=10) == 0
+        assert fiber_enumerate(mA, mB) == []
 
 
 def test_walk_stays_on_margins_and_is_deterministic():
