@@ -40,7 +40,7 @@ from .saturation import (
     generate_with_margins,
     sample_uniform_saturated,
 )
-from .markov import check_fiber_margins, fiber_enumerate, markov_basis, verify_connectivity, walk_states
+from .markov import check_fiber_margins, fiber_tables, markov_basis, verify_connectivity, walk_states
 from .fileio import (
     ParseError,
     parse_fraction_file,
@@ -220,7 +220,7 @@ def cmd_walk(args) -> int:
 
 def cmd_fiber(args) -> int:
     mA, mB = _margins_pair(args)
-    return _stream(fiber_enumerate(mA, mB, cap=args.cap), args.format, render_table, _table_json)
+    return _stream(fiber_tables(mA, mB, cap=args.cap), args.format, render_table, _table_json)
 
 
 def cmd_verify(args) -> int:

@@ -20,7 +20,11 @@ masks and the shape: two ints per move, about 80 bytes a move on the
 tuple grid takes 616 and 4,200 bytes.  It decodes dense Move grids on
 indexing and iteration and compares equal to the tuple of those grids.
 Dense tuple tables appear only at the API edge: walk states, apply_move
-results, fiber_enumerate and the tables a target weight function sees.
+results, fiber tables and the tables a target weight function sees.
+Each row is decoded from its J-bit slice of the mask; a walk step
+decodes only the rows its move touches and shares the others with the
+state before.  Table and move entries must be ints: True and 1.0 are
+refused.
 """
 from __future__ import annotations
 
@@ -87,17 +91,15 @@ def circuit_to_move(circuit: Circuit, I: int, J: int) -> Move:
     return tuple(tuple(row) for row in grid)
 
 
-def _circuit_walks(I: int, J: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(rows, cols) of every degree-k circuit, in circuits() order."""
-    for rows in itertools.combinations(range(1, I + 1), k):
-        first, rest = rows[0], rows[1:]
+def _circuit_walks(I: int, J: int, k: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """(rows, cols_list) per row sequence of the degree-k circuits: each
+    row sequence takes every column sequence of the one list, in order,
+    which is circuits() order."""
+    cols = [c for cs in itertools.combinations(range(1, J + 1), k)
+            for c in itertools.permutations(cs) if c[0] < c[-1]]
+    for first, *rest in itertools.combinations(range(1, I + 1), k):
         for tail in itertools.permutations(rest):
-            seq = (first,) + tail
-            for cols in itertools.combinations(range(1, J + 1), k):
-                for cperm in itertools.permutations(cols):
-                    if cperm[0] > cperm[-1]:
-                        continue
-                    yield seq, cperm
+            yield (first,) + tail, cols
 
 
 def circuits(I: int, J: int, k: int) -> Iterator[Circuit]:
@@ -105,13 +107,15 @@ def circuits(I: int, J: int, k: int) -> Iterator[Circuit]:
 
     Canonical form: the traversal starts at the smallest row level and
     runs toward the smaller of its two neighbouring column levels, so
-    the two orientations of a circuit collapse to one.
+    the two orientations of a circuit collapse to one.  The C(J,k) k!/2
+    column sequences are listed once, before the first circuit.
     """
     check_size(I, J)
     if not 2 <= k <= min(I, J):
         raise ValueError(f"circuit degree must lie in 2..min(I,J) = {min(I, J)}")
     for rows, cols in _circuit_walks(I, J, k):
-        yield Circuit(rows, cols)
+        for c in cols:
+            yield Circuit(rows, c)
 
 
 def _top_degree(I: int, J: int, max_degree: Optional[int]) -> int:
@@ -171,7 +175,7 @@ def _shape(grid: Sequence[Sequence[int]], what: str) -> tuple[int, int]:
 
 def _encode_table(table: Sequence[Sequence[int]], what: str) -> int:
     cells = [v for row in table for v in row]
-    if any(v not in (0, 1) for v in cells):
+    if any(type(v) is not int or v not in (0, 1) for v in cells):
         raise ValueError(f"{what} is not a 0/1 table")
     return _mask(cells)
 
@@ -181,7 +185,7 @@ def _encode_move(move: Sequence[Sequence[int]], I: int, J: int) -> tuple[int, in
     if shape != (I, J):
         raise ValueError(f"move is {shape[0]} x {shape[1]} but the table is {I} x {J}")
     cells = [v for row in move for v in row]
-    if any(v not in (-1, 0, 1) for v in cells):
+    if any(type(v) is not int or v not in (-1, 0, 1) for v in cells):
         raise ValueError("move entries must lie in {-1, 0, 1}")
     return _mask([v == 1 for v in cells]), _mask([v == -1 for v in cells])
 
@@ -248,17 +252,14 @@ def markov_basis(
     cell = [[0] * (J + 1)] + [
         [0] + [1 << ((i - 1) * J + j - 1) for j in range(1, J + 1)] for i in range(1, I + 1)
     ]
-    plus, minus = [], []
-    last = None
+    masks, get = [], itertools.repeat(list.__getitem__)
     for k in range(2, top + 1):
         for rows, cols in _circuit_walks(I, J, k):
-            if rows != last:  # a row sequence repeats over all its column choices
-                last = rows
-                up = [cell[i] for i in rows]
-                down = up[1:] + up[:1]
-            plus.append(sum(map(list.__getitem__, up, cols)))
-            minus.append(sum(map(list.__getitem__, down, cols)))
-    return MoveBasis((I, J), plus, minus)
+            up = [cell[i] for i in rows]
+            pair = [map(sum, map(map, get, itertools.repeat(r), cols)) for r in (up, up[1:] + up[:1])]
+            # a move's plus and minus ints are made side by side: a walk step reads both
+            masks += itertools.chain.from_iterable(zip(*pair))
+    return MoveBasis((I, J), masks[0::2], masks[1::2])
 
 
 def _basis_masks(basis: Sequence[Move], I: int, J: int) -> tuple[Sequence[int], Sequence[int]]:
@@ -321,8 +322,10 @@ def walk_states(
     trajectory for the same seed.
 
     basis is a MoveBasis or any sequence of dense moves; either is
-    checked against the start's shape (and dense entries against
-    {-1, 0, 1}) when walk_states is called, before the first state.
+    checked against the start's shape (and dense entries against the
+    ints -1, 0, 1) when walk_states is called, before the first state.
+    An accepted state is a new tuple whose rows the move did not touch
+    are the previous state's row tuples, the start's own rows included.
     """
     if not basis:
         raise ValueError("empty move basis")
@@ -334,11 +337,11 @@ def walk_states(
     plus, minus = _basis_masks(basis, I, J)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     w_cur = _check_weight(target, cur) if target is not None else 1.0
-    return _walk(cur, code, w_cur, plus, minus, I, J, steps, rng, target)
+    return _walk(cur, code, w_cur, plus, minus, J, steps, rng, target)
 
 
-def _walk(cur, code, w_cur, plus, minus, I, J, steps, rng, target) -> Iterator[Table]:
-    n = len(plus)
+def _walk(cur, code, w_cur, plus, minus, J, steps, rng, target) -> Iterator[Table]:
+    n, full = len(plus), (1 << J) - 1
     randrange = rng.randrange
     for _ in range(steps):
         r = randrange(n)
@@ -347,8 +350,12 @@ def _walk(cur, code, w_cur, plus, minus, I, J, steps, rng, target) -> Iterator[T
         else:
             up, down = minus[r], plus[r]
         if code & up == 0 and code & down == down:
-            nxt_code = code ^ up ^ down
-            nxt = _decode_table(nxt_code, I, J)
+            nxt_code, changed, rows = code ^ up ^ down, up | down, list(cur)
+            while changed:  # re-read the highest touched row, then drop it from changed
+                i = (changed.bit_length() - 1) // J
+                rows[i] = tuple(_cells(nxt_code >> i * J & full, J))
+                changed &= (1 << i * J) - 1
+            nxt = tuple(rows)
             if target is None:
                 cur, code = nxt, nxt_code
             else:
@@ -422,40 +429,44 @@ def _fiber_count(mA, mB, cap: int) -> int:
     return total
 
 
-def _fiber_codes(mA, mB, cap: int) -> list[int]:
-    """The fiber's table codes in fiber_enumerate's order, CapExceeded past cap:
-    row i takes each column needing a 1 in every row left, the rest from any
-    columns needing some."""
+def _fiber_codes(mA, mB, cap: int) -> Iterator[int]:
+    """The fiber's table codes in fiber_enumerate's order, CapExceeded past cap
+    before the first: row i takes each column needing a 1 in every row left,
+    the rest from any columns needing some."""
     n = _fiber_count(mA, mB, cap)
     if n > cap:
         raise CapExceeded(f"fiber holds more than the cap of {cap} tables")
     I, J = len(mA), len(mB)
-    codes: list[int] = []
     level = [_mask([b == k for b in mB]) for k in range(I + 1)]  # level[k]: columns needing k ones
     stack = [(0, 0, level)] if n else []
     while stack:
         i, code, level = stack.pop()
         need = level[I - i]
         if i == I - 1:
-            codes.append(code | need << i * J)
+            yield code | need << i * J
             continue
         free = [1 << j for j in range(J) if not (level[0] | need) >> j & 1]
         k = mA[i] - need.bit_count()
         masks = [need | sum(c) for c in itertools.combinations(free, k)] if k >= 0 else []
         stack += [(i + 1, code | m << i * J, [lo & ~m | hi & m for lo, hi in zip(level, level[1:])])
                   for m in reversed(masks)]
-    return codes
+
+
+def fiber_tables(mA, mB, cap: int = DEFAULT_CAP) -> Iterator[Table]:
+    """fiber_enumerate's tables one at a time.  The margins are checked
+    on the call; the count against cap runs before the first table."""
+    mA, mB = check_fiber_margins(mA, mB)
+    J, full = len(mB), (1 << len(mB)) - 1
+    row = functools.cache(lambda m: tuple(_cells(m, J)))
+    shifts = range(0, len(mA) * J, J)
+    return (tuple([row(code >> s & full) for s in shifts]) for code in _fiber_codes(mA, mB, cap))
 
 
 def fiber_enumerate(mA, mB, cap: int = DEFAULT_CAP) -> list[Table]:
     """Every 0/1 table with row sums mA and column sums mB, row by row in
     itertools.combinations order; equal rows share one tuple.  Over cap
     tables by the exact count raise CapExceeded before any is built."""
-    mA, mB = check_fiber_margins(mA, mB)
-    J, full = len(mB), (1 << len(mB)) - 1
-    row = functools.cache(lambda m: tuple(_cells(m, J)))
-    shifts = range(0, len(mA) * J, J)
-    return [tuple([row(code >> s & full) for s in shifts]) for code in _fiber_codes(mA, mB, cap)]
+    return list(fiber_tables(mA, mB, cap))
 
 
 @dataclass(frozen=True)
@@ -485,7 +496,7 @@ def verify_connectivity(mA, mB, basis: Optional[Sequence[Move]] = None,
     if basis is None:
         basis = markov_basis(I, J, cap=cap)
     plus, minus = _basis_masks(basis, I, J)
-    codes = _fiber_codes(mA, mB, cap)
+    codes = list(_fiber_codes(mA, mB, cap))
     fiber, uf = set(codes), UnionFind()
     for c in codes:
         for up, down in zip(plus, minus):

@@ -1,4 +1,5 @@
 """Circuit moves, fibers, and the fixed-margin chain."""
+import hashlib
 import itertools
 import math
 import random
@@ -135,6 +136,23 @@ def test_basis_decodes_to_circuit_moves_in_order(I, J, max_degree):
         basis[len(want)]
 
 
+@pytest.mark.parametrize(
+    "I,J,max_degree,moves,plus,minus",
+    [(6, 6, None, 113865,
+      "753531cbf48c83e03a730437afa9c3e41f0a57859a6df6298971c4bfd91f7662",
+      "8291b0e437459b031dcc808bf579b66a0c3a8dc41c4263d62ed8f7f39712c397"),
+     (20, 20, 2, 36100,
+      "d455b7a2499f18b30e196d68adfe831c96e8facfcf7d229c8568562a058d4b83",
+      "6eb4f07507adf49a8a5db40f527ec16a53a7c26547413bccb44ef9f9ac3739bb")],
+    ids=["6x6-full", "20x20-degree-2"],
+)
+def test_basis_masks_are_pinned_on_the_walk_shapes(I, J, max_degree, moves, plus, minus):
+    basis = markov_basis(I, J, max_degree)
+    assert len(basis) == moves
+    assert hashlib.sha256(repr(basis.plus).encode()).hexdigest() == plus
+    assert hashlib.sha256(repr(basis.minus).encode()).hexdigest() == minus
+
+
 def test_basis_cap():
     with pytest.raises(CapExceeded):
         markov_basis(6, 6, cap=10)
@@ -205,6 +223,22 @@ def test_apply_move_rejects_non_binary_input():
         apply_move(((1, 0), (0,)), ((1, -1), (-1, 1)), 1)
 
 
+def test_non_int_entries_are_refused():
+    # True == 1 and 1.0 == 1, so a value test alone lets them in
+    for table in (((True, 0), (0, 1)), ((1, 0.0), (0, 1)), ((1.0, 0), (0, 1))):
+        with pytest.raises(ValueError, match="0/1"):
+            apply_move(table, ((1, -1), (-1, 1)), -1)
+        with pytest.raises(ValueError, match="0/1"):
+            walk_states(table, markov_basis(2, 2), 3, 1)
+    for move in (((True, -1), (-1, 1)), ((1.0, -1), (-1, 1)), ((1, -1.0), (-1, 1))):
+        with pytest.raises(ValueError, match=r"\{-1, 0, 1\}"):
+            apply_move(((1, 0), (0, 1)), move, -1)
+        with pytest.raises(ValueError, match=r"\{-1, 0, 1\}"):
+            walk_states(((1, 0), (0, 1)), [move], 3, 1)
+        with pytest.raises(ValueError, match=r"\{-1, 0, 1\}"):
+            verify_connectivity((1, 1), (1, 1), basis=[move])
+
+
 def test_rigid_table_admits_no_move():
     moves = markov_basis(3, 4)
     assert all(
@@ -245,6 +279,17 @@ def test_fiber_margins_refuse_booleans():
 def test_fiber_cap():
     with pytest.raises(CapExceeded):
         fiber_enumerate((3, 3, 3, 3), (3, 3, 3, 3), cap=5)
+
+
+def test_fiber_tables_check_margins_on_the_call_and_the_cap_before_the_first_table():
+    with pytest.raises(ValueError, match="margin sums differ"):
+        markov.fiber_tables((2, 1), (1, 1))
+    tables = markov.fiber_tables((3, 3, 3, 3), (3, 3, 3, 3), cap=5)
+    with pytest.raises(CapExceeded, match="more than the cap of 5 tables"):
+        next(tables)
+    tables = markov.fiber_tables((3, 1, 2), (3, 1, 1, 1))
+    assert not isinstance(tables, list)
+    assert list(tables) == fiber_enumerate((3, 1, 2), (3, 1, 1, 1))
 
 
 def _all_fibers(I, J, sorted_only=False):
@@ -361,7 +406,7 @@ def _dense_basis(I, J, max_degree=None):
 @pytest.mark.parametrize(
     "I,J,max_degree,steps",
     [(2, 3, None, 2000), (3, 4, None, 2000), (4, 4, None, 3000), (6, 6, None, 20000),
-     (10, 10, 2, 5000)],
+     (10, 10, 2, 5000), (12, 12, 2, 5000)],
 )
 def test_walk_matches_dense_oracle(I, J, max_degree, steps):
     basis = markov_basis(I, J, max_degree)
@@ -390,6 +435,23 @@ def test_walk_repeats_the_same_object_on_rejection():
     states = list(walk_states(THREE_TABLE_START, markov_basis(3, 4), 300, seed=9))
     for prev, cur in zip(states, states[1:]):
         assert cur is prev or cur != prev
+
+
+@pytest.mark.parametrize("n,max_degree,steps", [(20, 2, 5000), (6, None, 20000)])
+def test_walk_shares_the_rows_a_move_does_not_touch(n, max_degree, steps):
+    # a circuit move changes every row it touches, so a row is untouched
+    # exactly when the oracle's row is unchanged; the start's rows count
+    start = tuple(tuple(int((j - i) % n < n // 2) for j in range(n)) for i in range(n))
+    want = oracles.dense_walk(start, _dense_basis(n, n, max_degree), steps, 5)
+    states = list(walk_states(start, markov_basis(n, n, max_degree), steps, 5))
+    assert states == want
+    accepted = 0
+    for prev, cur, old, new in zip([start] + states, states, [start] + want, want):
+        accepted += old != new
+        for a, b, x, y in zip(prev, cur, old, new):
+            assert (b is a) == (x == y) and type(b) is tuple
+            assert all(type(v) is int for v in b)
+    assert accepted > 100
 
 
 def test_walk_zero_steps_returns_start():
