@@ -6,10 +6,17 @@ held canonically as a tuple sorted in lexicographic point order; every
 function in the package accepts any iterable of points and relies on
 fraction() for normalization.  The 0/1 incidence table N has N[i-1][j-1]
 = 1 exactly when (i, j) belongs to the fraction.
+
+Dense grids and bit masks meet in one codec here: _encode checks a grid
+(equal rows of ints from a given set; True and 1.0 are refused; a bad
+entry is named by row and column) and returns one mask per non-zero
+value, bit (i-1)*J + (j-1) for cell (i, j); _row_decoder and _rows turn
+masks back into row tuples.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections import abc
+from typing import Callable, Iterable, Sequence
 
 Point = tuple[int, int]
 Points = tuple[Point, ...]
@@ -81,30 +88,54 @@ def margins(points: Iterable[Point], I: int, J: int) -> tuple[tuple[int, ...], t
 
 def to_table(points: Iterable[Point], I: int, J: int) -> Table:
     """0/1 incidence table of a fraction."""
-    f = set(fraction(points, I, J))
-    return tuple(
-        tuple(1 if (i, j) in f else 0 for j in range(1, J + 1))
-        for i in range(1, I + 1)
-    )
+    code = sum(1 << (i - 1) * J + j - 1 for i, j in fraction(points, I, J))
+    return _rows(code, I, J, _row_decoder(J))
 
 
 def from_table(table: Sequence[Sequence[int]]) -> Points:
     """Fraction encoded by a 0/1 table; the grid size is the table shape."""
-    I = len(table)
-    if I == 0:
-        raise ValueError("empty table")
-    J = len(table[0])
+    I, J, _ = _encode(table, "table")
     check_size(I, J)
-    pts = []
-    for i, row in enumerate(table, start=1):
+    return tuple((i, j) for i, row in enumerate(table, 1) for j, v in enumerate(row, 1) if v)
+
+
+def _encode(grid: Sequence[Sequence[int]], what: str,
+            values: Sequence[int] = (0, 1)) -> tuple[int, int, list[int]]:
+    """(I, J, masks) of a dense grid: one mask per non-zero value in
+    values, in that order, with bit (i-1)*J + (j-1) set where cell (i, j)
+    holds the value.  ValueError, naming what, unless grid is a sequence
+    of rows of one length whose entries are ints drawn from values."""
+    if not (isinstance(grid, abc.Sequence) and all(isinstance(row, abc.Sequence) for row in grid)):
+        raise ValueError(f"{what} is not a sequence of rows")
+    J = len(grid[0]) if grid else 0
+    for i, row in enumerate(grid, start=1):
         if len(row) != J:
-            raise ValueError(f"ragged table: row {i} has {len(row)} entries, expected {J}")
-        for j, cell in enumerate(row, start=1):
-            if cell == 1:
-                pts.append((i, j))
-            elif cell != 0:
-                raise ValueError(f"non-binary entry {cell!r} at row {i}, column {j}")
-    return tuple(pts)
+            raise ValueError(f"{what} is ragged: row {i} has {len(row)} entries, expected {J}")
+        for j, v in enumerate(row, start=1):
+            if type(v) is not int or v not in values:
+                allowed = ("0/1" if set(values) == {0, 1}
+                           else "{%s}" % ", ".join(map(str, sorted(values))))
+                raise ValueError(f"{what} entries must be ints in {allowed}: "
+                                 f"{v!r} at row {i}, column {j}")
+    cells = [v for row in reversed(grid) for v in reversed(row)]
+    masks = [int("".join(["1" if c == v else "0" for c in cells]) or "0", 2) for v in values if v]
+    return len(grid), J, masks
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _row_decoder(J: int) -> Callable[[int], tuple[int, ...]]:
+    """Function from a mask below 2**J to its row tuple of J 0/1 ints,
+    bit 0 first."""
+    spec = f"0{J}b"
+    return lambda mask: tuple(format(mask, spec).encode()[::-1].translate(_BITS))
+
+
+def _rows(code: int, I: int, J: int, row: Callable[[int], tuple[int, ...]]) -> Table:
+    """The I x J table of a mask, each row's J-bit slice decoded by row."""
+    full = (1 << J) - 1
+    return tuple([row(code >> s & full) for s in range(0, I * J, J)])
 
 
 def table_margins(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:

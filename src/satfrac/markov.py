@@ -9,9 +9,11 @@ or subtracting a move keeps a table's margins, and the full set of
 circuit moves connects every fiber, so the stay-or-move chain below has
 the uniform distribution on the fiber as its stationary law.
 
-Inside this module an I x J 0/1 table is an int with bit (i-1)*J +
-(j-1) set for each cell (i, j) that holds 1, and a move is a (plus,
-minus) pair of such masks: the cells it raises and the cells it lowers.
+Inside this module an I x J 0/1 table is its mask in the grid codec of
+satfrac.design, an int with bit (i-1)*J + (j-1) set for each cell (i,
+j) that holds 1, and a move is a (plus, minus) pair of such masks: the
+cells it raises and the cells it lowers.  Every dense table and move
+passes through that codec.
 A move applies to t iff t & plus == 0 and t & minus == minus, and the
 next table is t ^ (plus | minus); the opposite sign swaps plus and
 minus.  markov_basis returns a read-only MoveBasis that holds only the
@@ -24,7 +26,7 @@ results, fiber tables and the tables a target weight function sees.
 Each row is decoded from its J-bit slice of the mask; a walk step
 decodes only the rows its move touches and shares the others with the
 state before.  Table and move entries must be ints: True and 1.0 are
-refused.
+refused.  A dense move's row and column sums must all be 0.
 """
 from __future__ import annotations
 
@@ -38,7 +40,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .cycles import UnionFind
-from .design import DEFAULT_CAP, CapExceeded, Table, check_size
+from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _row_decoder, _rows, check_size,
+                     table_margins)
 
 Move = Table  # I x J integer grid, entries in {-1, 0, +1}
 
@@ -139,57 +142,6 @@ def basis_size(I: int, J: int, max_degree: Optional[int] = None) -> int:
     )
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _cells(code: int, n: int) -> bytes:
-    """The n low bits of code as bytes 0 and 1, lowest bit first."""
-    return format(code, f"0{n}b").encode()[::-1].translate(_BITS)
-
-
-def _mask(cells) -> int:
-    """Int with bit n set where cells[n] is true."""
-    return int("".join("1" if c else "0" for c in reversed(cells)) or "0", 2)
-
-
-def _decode_table(code: int, I: int, J: int) -> Table:
-    cells = _cells(code, I * J)
-    return tuple(tuple(cells[r:r + J]) for r in range(0, I * J, J))
-
-
-def _decode_move(plus: int, minus: int, I: int, J: int) -> Move:
-    p, m = _cells(plus, I * J), _cells(minus, I * J)
-    return tuple(
-        tuple(map(operator.sub, p[r:r + J], m[r:r + J])) for r in range(0, I * J, J)
-    )
-
-
-def _shape(grid: Sequence[Sequence[int]], what: str) -> tuple[int, int]:
-    I = len(grid)
-    J = len(grid[0]) if I else 0
-    for n, row in enumerate(grid, start=1):
-        if len(row) != J:
-            raise ValueError(f"{what} is ragged: row {n} has {len(row)} entries, expected {J}")
-    return I, J
-
-
-def _encode_table(table: Sequence[Sequence[int]], what: str) -> int:
-    cells = [v for row in table for v in row]
-    if any(type(v) is not int or v not in (0, 1) for v in cells):
-        raise ValueError(f"{what} is not a 0/1 table")
-    return _mask(cells)
-
-
-def _encode_move(move: Sequence[Sequence[int]], I: int, J: int) -> tuple[int, int]:
-    shape = _shape(move, "move")
-    if shape != (I, J):
-        raise ValueError(f"move is {shape[0]} x {shape[1]} but the table is {I} x {J}")
-    cells = [v for row in move for v in row]
-    if any(type(v) is not int or v not in (-1, 0, 1) for v in cells):
-        raise ValueError("move entries must lie in {-1, 0, 1}")
-    return _mask([v == 1 for v in cells]), _mask([v == -1 for v in cells])
-
-
 class MoveBasis(abc.Sequence):
     """Read-only sequence of the moves of one I x J grid.
 
@@ -211,12 +163,17 @@ class MoveBasis(abc.Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return MoveBasis(self.shape, self.plus[index], self.minus[index])
-        return _decode_move(self.plus[index], self.minus[index], *self.shape)
+        return self._move(self.plus[index], self.minus[index], _row_decoder(self.shape[1]))
 
     def __iter__(self) -> Iterator[Move]:
-        I, J = self.shape
+        row = functools.cache(_row_decoder(self.shape[1]))
         for p, m in zip(self.plus, self.minus):
-            yield _decode_move(p, m, I, J)
+            yield self._move(p, m, row)
+
+    def _move(self, plus: int, minus: int, row) -> Move:
+        I, J = self.shape
+        return tuple([tuple(map(operator.sub, a, b))
+                      for a, b in zip(_rows(plus, I, J, row), _rows(minus, I, J, row))])
 
     def __eq__(self, other):
         if isinstance(other, MoveBasis):
@@ -263,7 +220,9 @@ def markov_basis(
 
 
 def _basis_masks(basis: Sequence[Move], I: int, J: int) -> tuple[Sequence[int], Sequence[int]]:
-    """(plus, minus) masks of a basis for I x J tables; dense moves are encoded."""
+    """(plus, minus) masks of a basis for I x J tables.  Dense moves are
+    encoded here, the one dense-move path: each must be I x J, with zero
+    row and column sums."""
     if isinstance(basis, MoveBasis):
         if basis.shape != (I, J):
             raise ValueError(
@@ -271,30 +230,35 @@ def _basis_masks(basis: Sequence[Move], I: int, J: int) -> tuple[Sequence[int], 
                 f"but the table is {I} x {J}"
             )
         return basis.plus, basis.minus
-    pairs = [_encode_move(move, I, J) for move in basis]
-    return [p for p, _ in pairs], [m for _, m in pairs]
-
-
-def _as_table(table: Sequence[Sequence[int]]) -> Table:
-    return tuple(tuple(row) for row in table)
+    plus, minus = [], []
+    for move in basis:
+        mI, mJ, (p, m) = _encode(move, "move", (0, 1, -1))
+        if (mI, mJ) != (I, J):
+            raise ValueError(f"move is {mI} x {mJ} but the table is {I} x {J}")
+        mA, mB = table_margins(move)
+        if any(mA) or any(mB):
+            raise ValueError(f"move changes the margins: row sums {mA}, column sums {mB}")
+        plus.append(p)
+        minus.append(m)
+    return plus, minus
 
 
 def apply_move(table: Sequence[Sequence[int]], move: Move, sign: int = 1) -> Optional[Table]:
     """table + sign*move when every entry stays in {0,1}, else None.
 
     table must be a 0/1 table and move a table of the same shape with
-    entries in {-1, 0, 1}; anything else raises ValueError.
+    entries in {-1, 0, 1} and zero row and column sums; anything else
+    raises ValueError.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    I, J = _shape(table, "table")
-    code = _encode_table(table, "table")
-    plus, minus = _encode_move(move, I, J)
+    I, J, (code,) = _encode(table, "table")
+    (plus,), (minus,) = _basis_masks((move,), I, J)
     if sign == -1:
         plus, minus = minus, plus
     if code & plus or code & minus != minus:
         return None
-    return _decode_table(code ^ plus ^ minus, I, J)
+    return _rows(code ^ plus ^ minus, I, J, _row_decoder(J))
 
 
 def _check_weight(target: Callable[[Table], float], table: Table) -> float:
@@ -323,17 +287,17 @@ def walk_states(
 
     basis is a MoveBasis or any sequence of dense moves; either is
     checked against the start's shape (and dense entries against the
-    ints -1, 0, 1) when walk_states is called, before the first state.
+    ints -1, 0, 1 and zero margins) when walk_states is called, before
+    the first state, as are start and steps.
     An accepted state is a new tuple whose rows the move did not touch
     are the previous state's row tuples, the start's own rows included.
     """
     if not basis:
         raise ValueError("empty move basis")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    cur = _as_table(start)
-    code = _encode_table(cur, "start")
-    I, J = _shape(cur, "start")
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"steps must be an int >= 0, got {steps!r}")
+    I, J, (code,) = _encode(start, "start")
+    cur = tuple(map(tuple, start))
     plus, minus = _basis_masks(basis, I, J)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     w_cur = _check_weight(target, cur) if target is not None else 1.0
@@ -341,7 +305,7 @@ def walk_states(
 
 
 def _walk(cur, code, w_cur, plus, minus, J, steps, rng, target) -> Iterator[Table]:
-    n, full = len(plus), (1 << J) - 1
+    n, full, row = len(plus), (1 << J) - 1, _row_decoder(J)
     randrange = rng.randrange
     for _ in range(steps):
         r = randrange(n)
@@ -353,7 +317,7 @@ def _walk(cur, code, w_cur, plus, minus, J, steps, rng, target) -> Iterator[Tabl
             nxt_code, changed, rows = code ^ up ^ down, up | down, list(cur)
             while changed:  # re-read the highest touched row, then drop it from changed
                 i = (changed.bit_length() - 1) // J
-                rows[i] = tuple(_cells(nxt_code >> i * J & full, J))
+                rows[i] = row(nxt_code >> i * J & full)
                 changed &= (1 << i * J) - 1
             nxt = tuple(rows)
             if target is None:
@@ -367,16 +331,15 @@ def _walk(cur, code, w_cur, plus, minus, J, steps, rng, target) -> Iterator[Tabl
 
 def random_walk(start, basis: Sequence[Move], steps: int, seed) -> Table:
     """Final state of the uniform stay-or-move chain."""
-    cur = _as_table(start)
-    for cur in walk_states(start, basis, steps, seed):
-        pass
-    return cur
+    return metropolis_walk(start, basis, None, steps, seed)
 
 
 def metropolis_walk(start, basis: Sequence[Move], target, steps: int, seed) -> Table:
-    """Final state of the weighted chain; stationary law proportional to target."""
-    cur = _as_table(start)
-    for cur in walk_states(start, basis, steps, seed, target=target):
+    """Final state of the weighted chain; stationary law proportional to
+    target, uniform when target is None."""
+    states = walk_states(start, basis, steps, seed, target=target)
+    cur = tuple(map(tuple, start))
+    for cur in states:
         pass
     return cur
 
@@ -436,9 +399,12 @@ def _fiber_codes(mA, mB, cap: int) -> Iterator[int]:
     n = _fiber_count(mA, mB, cap)
     if n > cap:
         raise CapExceeded(f"fiber holds more than the cap of {cap} tables")
+    if not n:
+        return
     I, J = len(mA), len(mB)
-    level = [_mask([b == k for b in mB]) for k in range(I + 1)]  # level[k]: columns needing k ones
-    stack = [(0, 0, level)] if n else []
+    _, _, level = _encode((mB,), "mB", range(I + 1))  # level[k]: columns needing k ones
+    level.insert(0, (1 << J) - 1 ^ sum(level))
+    stack = [(0, 0, level)]
     while stack:
         i, code, level = stack.pop()
         need = level[I - i]
@@ -457,7 +423,7 @@ def fiber_tables(mA, mB, cap: int = DEFAULT_CAP) -> Iterator[Table]:
     on the call; the count against cap runs before the first table."""
     mA, mB = check_fiber_margins(mA, mB)
     J, full = len(mB), (1 << len(mB)) - 1
-    row = functools.cache(lambda m: tuple(_cells(m, J)))
+    row = functools.cache(_row_decoder(J))
     shifts = range(0, len(mA) * J, J)
     return (tuple([row(code >> s & full) for s in shifts]) for code in _fiber_codes(mA, mB, cap))
 

@@ -16,6 +16,7 @@ from satfrac.design import (
 )
 
 import oracles
+from satfrac import design
 
 
 def test_fraction_sorts_points():
@@ -171,3 +172,67 @@ def test_table_round_trip(case):
 def test_margin_routes_agree(case):
     f, I, J = case
     assert margins(f, I, J) == table_margins(to_table(f, I, J))
+
+
+def test_from_table_refuses_non_int_entries_with_their_position():
+    # True == 1 and 1.0 == 1, so a value test alone lets them in
+    for table, cell in ((((True, 0), (0, 1)), "True at row 1, column 1"),
+                        (((1, 0), (0, 1.0)), "1.0 at row 2, column 2"),
+                        (((1, 0), (0.0, 1)), "0.0 at row 2, column 1"),
+                        (((1, 2), (0, 0)), "2 at row 1, column 2")):
+        with pytest.raises(ValueError, match="0/1") as exc:
+            from_table(table)
+        assert cell in str(exc.value)
+
+
+@pytest.mark.parametrize("table", [(1, 0), (1, 0, 0, 1), [(1, 0), 1]])
+def test_from_table_refuses_a_grid_that_is_not_rows(table):
+    with pytest.raises(ValueError, match="table is not a sequence of rows"):
+        from_table(table)
+
+
+def test_table_routes_match_the_oracle_on_seeded_grids():
+    # to_table and from_table against oracles.table_of; every fourth grid
+    # is spoiled (ragged, bool or float) at a random cell, and must be
+    # refused with that cell's position
+    rng = random.Random(907)
+    for n in range(1000):
+        I, J = rng.randint(2, 8), rng.randint(2, 8)
+        density = rng.random()
+        f = fraction([(i, j) for i in range(1, I + 1) for j in range(1, J + 1)
+                      if rng.random() < density], I, J)
+        table = oracles.table_of(f, I, J)
+        assert to_table(f, I, J) == table
+        assert from_table(table) == from_table([list(row) for row in table]) == f
+        if n % 4:
+            continue
+        i, j = rng.randint(1, I), rng.randint(1, J)
+        rows = [list(row) for row in table]
+        kind = rng.choice(("ragged", "bool", "float"))
+        if kind == "ragged":
+            del rows[i - 1][j - 1]
+            if i == 1:  # row 1 sets the width, so the next row is the short one
+                i = 2
+            where = f"row {i} has"
+        else:
+            rows[i - 1][j - 1] = (bool if kind == "bool" else float)(table[i - 1][j - 1])
+            where = f"at row {i}, column {j}"
+        with pytest.raises(ValueError, match=kind if kind == "ragged" else "0/1") as exc:
+            from_table(rows)
+        assert where in str(exc.value)
+
+
+def test_the_codec_sets_bit_i_times_J_plus_j_for_cell_i_j():
+    # 0-based (i, j); a transposed bit order fails on the non-square grids
+    rng = random.Random(5)
+    for _ in range(200):
+        I, J = rng.randint(1, 7), rng.randint(1, 7)
+        move = tuple(tuple(rng.choice((-1, 0, 1)) for _ in range(J)) for _ in range(I))
+        want = [sum(1 << i * J + j for i in range(I) for j in range(J) if move[i][j] == v)
+                for v in (1, -1)]
+        assert design._encode(move, "move", (0, 1, -1)) == (I, J, want)
+        row = design._row_decoder(J)
+        plus, minus = (design._rows(m, I, J, row) for m in want)
+        assert tuple(tuple(p - m for p, m in zip(*rows)) for rows in zip(plus, minus)) == move
+    assert design._encode(((0, 1, 0), (0, 0, 0)), "table") == (2, 3, [2])
+    assert design._rows(2 | 1 << 5, 2, 3, design._row_decoder(3)) == ((0, 1, 0), (0, 0, 1))

@@ -239,6 +239,38 @@ def test_non_int_entries_are_refused():
             verify_connectivity((1, 1), (1, 1), basis=[move])
 
 
+def test_dense_moves_must_keep_the_margins():
+    # a move with a non-zero row or column sum would carry the walk out of its fiber
+    for move in (((1, 0), (0, 0)), ((1, -1), (0, 0)), ((1, 0), (-1, 0)), ((1, -1), (1, -1))):
+        with pytest.raises(ValueError, match="move changes the margins"):
+            walk_states(((0, 1), (1, 0)), [move], 3, 1)
+        with pytest.raises(ValueError, match="move changes the margins"):
+            apply_move(((0, 1), (1, 0)), move, 1)
+        with pytest.raises(ValueError, match="move changes the margins"):
+            verify_connectivity((1, 1), (1, 1), basis=[((1, -1), (-1, 1)), move])
+    # the entries are checked first
+    with pytest.raises(ValueError, match=r"\{-1, 0, 1\}"):
+        apply_move(((0, 1), (1, 0)), ((2, 0), (0, 0)), 1)
+
+
+def test_a_flat_grid_is_refused_by_name():
+    with pytest.raises(ValueError, match="table is not a sequence of rows"):
+        apply_move((1, 0), ((1, -1), (-1, 1)))
+    with pytest.raises(ValueError, match="move is not a sequence of rows"):
+        apply_move(((1, 0), (0, 1)), (1, -1, -1, 1))
+    with pytest.raises(ValueError, match="start is not a sequence of rows"):
+        walk_states((1, 0, 0, 1), markov_basis(2, 2), 3, 1)
+
+
+def test_bad_entries_are_named_by_row_and_column():
+    with pytest.raises(ValueError, match="table entries .* 2 at row 2, column 1"):
+        apply_move(((1, 0), (2, 1)), ((1, -1), (-1, 1)))
+    with pytest.raises(ValueError, match=r"move entries .* True at row 1, column 2"):
+        apply_move(((1, 0), (0, 1)), ((1, True), (-1, 1)))
+    with pytest.raises(ValueError, match="start entries .* 1.0 at row 3, column 4"):
+        walk_states(((1, 1, 1, 0), (1, 0, 0, 0), (1, 0, 0, 1.0)), markov_basis(3, 4), 3, 1)
+
+
 def test_rigid_table_admits_no_move():
     moves = markov_basis(3, 4)
     assert all(
@@ -465,6 +497,17 @@ def test_walk_requires_moves_and_sane_steps():
         random_walk(THREE_TABLE_START, markov_basis(3, 4), -1, seed=1)
     with pytest.raises(ValueError):
         random_walk(((2, 0), (0, 2)), markov_basis(2, 2), 1, seed=1)
+
+
+@pytest.mark.parametrize("steps", [2.5, True, "3", None])
+def test_walk_steps_must_be_an_int_on_the_call(steps):
+    basis = markov_basis(3, 4)
+    with pytest.raises(ValueError, match="steps must be an int"):
+        walk_states(THREE_TABLE_START, basis, steps, seed=1)
+    with pytest.raises(ValueError, match="steps must be an int"):
+        random_walk(THREE_TABLE_START, basis, steps, seed=1)
+    with pytest.raises(ValueError, match="steps must be an int"):
+        metropolis_walk(THREE_TABLE_START, basis, lambda t: 1.0, steps, seed=1)
 
 
 def test_walk_covers_the_three_table_fiber():
