@@ -25,7 +25,7 @@ import os
 import random
 import sys
 
-from .design import DEFAULT_CAP, CapExceeded, to_table
+from .design import DEFAULT_CAP, CapExceeded, check_margins, to_table
 from .linalg import (
     full_model_matrix,
     integer_determinant,
@@ -40,7 +40,7 @@ from .saturation import (
     generate_with_margins,
     sample_uniform_saturated,
 )
-from .markov import check_fiber_margins, fiber_tables, markov_basis, verify_connectivity, walk_states
+from .markov import fiber_tables, markov_basis, verify_connectivity, walk_states
 from .fileio import (
     ParseError,
     parse_fraction_file,
@@ -224,7 +224,7 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mA, mB = check_fiber_margins(*_margins_pair(args))
+    mA, mB = check_margins(*_margins_pair(args), 0)
     basis = markov_basis(len(mA), len(mB), max_degree=args.max_degree, cap=args.cap)
     rep = verify_connectivity(mA, mB, basis=basis, cap=args.cap)
     payload = {
@@ -385,9 +385,6 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

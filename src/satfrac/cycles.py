@@ -157,8 +157,8 @@ def is_orthogonal_array(points: Iterable[Point], strength: int) -> bool:
     and column levels appears equally often.
     """
     pts = list(points)
-    if strength not in (1, 2):
-        raise ValueError(f"strength must be 1 or 2, got {strength}")
+    if type(strength) is not int or strength not in (1, 2):
+        raise ValueError(f"strength must be the int 1 or 2, got {strength!r}")
     if not pts:
         raise ValueError("empty point set")
     rows = Counter(i for i, _ in pts)
@@ -174,7 +174,7 @@ def is_orthogonal_array(points: Iterable[Point], strength: int) -> bool:
 
 def derangements(k: int) -> int:
     """Number of fixed-point-free permutations of k items, exact integer."""
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"derangements undefined for {k!r}")
     if k == 0:
         return 1
@@ -186,7 +186,7 @@ def derangements(k: int) -> int:
 
 def count_k_cycles(k: int) -> int:
     """k-cycles (with decomposition) on a k x k grid using all levels: k! !k / 2."""
-    if not isinstance(k, int) or k < 2:
+    if type(k) is not int or k < 2:
         raise ValueError(f"k-cycles need k >= 2, got {k!r}")
     return math.factorial(k) * derangements(k) // 2
 
@@ -216,7 +216,7 @@ def enumerate_k_cycles(I: int, J: int, k: int):
     C(I,k) C(J,k) count_k_cycles(k).  Deterministic order.
     """
     check_size(I, J)
-    if not (isinstance(k, int) and 2 <= k <= min(I, J)):
+    if not (type(k) is int and 2 <= k <= min(I, J)):
         raise ValueError(f"k must satisfy 2 <= k <= min(I, J) = {min(I, J)}, got {k!r}")
     for rows in itertools.combinations(range(1, I + 1), k):
         for cols in itertools.combinations(range(1, J + 1), k):

@@ -12,6 +12,10 @@ Dense grids and bit masks meet in one codec here: _encode checks a grid
 entry is named by row and column) and returns one mask per non-zero
 value, bit (i-1)*J + (j-1) for cell (i, j); _row_decoder and _rows turn
 masks back into row tuples.
+
+Every size, count, level, degree, sign and margin entry is an int in the
+sense type(x) is int (True and 2.0 are refused with ValueError);
+check_size checks a grid shape, check_margins a pair of margin vectors.
 """
 from __future__ import annotations
 
@@ -36,6 +40,20 @@ def check_size(I: int, J: int) -> None:
         raise ValueError("design size must be a pair of integers")
     if I < 2 or J < 2:
         raise ValueError(f"design size must be at least 2 x 2, got {I} x {J}")
+
+
+def check_margins(mA, mB, low: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(mA, mB) as tuples; ValueError unless non-empty, of ints >= low, and equal in sum."""
+    mA, mB = tuple(mA), tuple(mB)
+    for name, vec in (("mA", mA), ("mB", mB)):
+        if not vec:
+            raise ValueError(f"{name} is empty")
+        for x in vec:
+            if type(x) is not int or x < low:
+                raise ValueError(f"{name} entry {x!r} invalid: margins are ints >= {low}")
+    if sum(mA) != sum(mB):
+        raise ValueError(f"margin sums differ: {sum(mA)} vs {sum(mB)}")
+    return mA, mB
 
 
 def fraction(points: Iterable[Point], I: int, J: int) -> Points:

@@ -53,7 +53,7 @@ def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
         if len(row) != n:
             raise ValueError(f"non-square matrix: {n} rows but a row of length {len(row)}")
         for x in row:
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise ValueError(f"non-integer entry {x!r}")
         m.append(list(row))
     if n == 0:

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .cycles import UnionFind
-from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _row_decoder, _rows, check_size,
-                     table_margins)
+from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _row_decoder, _rows, check_margins,
+                     check_size, table_margins)
 
 Move = Table  # I x J integer grid, entries in {-1, 0, +1}
 
@@ -62,10 +62,10 @@ class Circuit:
         k = len(self.rows)
         if k < 2 or len(self.cols) != k:
             raise ValueError("circuit needs k >= 2 rows and as many columns")
+        if not all(type(x) is int and x >= 1 for x in (*self.rows, *self.cols)):
+            raise ValueError(f"circuit levels must be ints >= 1, got {self.rows} and {self.cols}")
         if len(set(self.rows)) != k or len(set(self.cols)) != k:
             raise ValueError("circuit rows and columns must be distinct")
-        if min(self.rows) < 1 or min(self.cols) < 1:
-            raise ValueError("circuit levels are 1-based")
 
     @property
     def k(self) -> int:
@@ -82,15 +82,13 @@ class Circuit:
 
 
 def circuit_to_move(circuit: Circuit, I: int, J: int) -> Move:
-    """Signed incidence table of a circuit: +1 on even-position edges."""
+    """Signed incidence table of a circuit: +1 on even-position edges of edge_sequence()."""
     check_size(I, J)
     if max(circuit.rows) > I or max(circuit.cols) > J:
         raise ValueError(f"circuit does not fit a {I} x {J} grid")
     grid = [[0] * J for _ in range(I)]
-    k = circuit.k
-    for t in range(k):
-        grid[circuit.rows[t] - 1][circuit.cols[t] - 1] = 1
-        grid[circuit.rows[(t + 1) % k] - 1][circuit.cols[t] - 1] = -1
+    for t, (i, j) in enumerate(circuit.edge_sequence()):
+        grid[i - 1][j - 1] = -1 if t % 2 else 1
     return tuple(tuple(row) for row in grid)
 
 
@@ -114,8 +112,8 @@ def circuits(I: int, J: int, k: int) -> Iterator[Circuit]:
     column sequences are listed once, before the first circuit.
     """
     check_size(I, J)
-    if not 2 <= k <= min(I, J):
-        raise ValueError(f"circuit degree must lie in 2..min(I,J) = {min(I, J)}")
+    if type(k) is not int or not 2 <= k <= min(I, J):
+        raise ValueError(f"circuit degree {k!r} is not an int in 2..min(I,J) = 2..{min(I, J)}")
     for rows, cols in _circuit_walks(I, J, k):
         for c in cols:
             yield Circuit(rows, c)
@@ -125,10 +123,10 @@ def _top_degree(I: int, J: int, max_degree: Optional[int]) -> int:
     check_size(I, J)
     if max_degree is None:
         return min(I, J)
-    if max_degree < 2:
+    if type(max_degree) is not int or max_degree < 2:
         raise ValueError(
-            f"max_degree must be at least 2: circuit degrees lie in "
-            f"2..min(I,J) = 2..{min(I, J)}, got {max_degree}"
+            f"max_degree must be at least 2: circuit degrees are ints in "
+            f"2..min(I,J) = 2..{min(I, J)}, got {max_degree!r}"
         )
     return min(max_degree, I, J)
 
@@ -250,9 +248,10 @@ def apply_move(table: Sequence[Sequence[int]], move: Move, sign: int = 1) -> Opt
     entries in {-1, 0, 1} and zero row and column sums; anything else
     raises ValueError.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"sign must be the int +1 or -1, got {sign!r}")
     I, J, (code,) = _encode(table, "table")
+    check_size(I, J)
     (plus,), (minus,) = _basis_masks((move,), I, J)
     if sign == -1:
         plus, minus = minus, plus
@@ -297,6 +296,7 @@ def walk_states(
     if type(steps) is not int or steps < 0:
         raise ValueError(f"steps must be an int >= 0, got {steps!r}")
     I, J, (code,) = _encode(start, "start")
+    check_size(I, J)
     cur = tuple(map(tuple, start))
     plus, minus = _basis_masks(basis, I, J)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
@@ -342,20 +342,6 @@ def metropolis_walk(start, basis: Sequence[Move], target, steps: int, seed) -> T
     for cur in states:
         pass
     return cur
-
-
-def check_fiber_margins(mA, mB):
-    """(mA, mB) as tuples; ValueError unless both are non-empty, >= 0 ints, equal in sum."""
-    mA, mB = tuple(mA), tuple(mB)
-    for name, vec in (("mA", mA), ("mB", mB)):
-        if not vec:
-            raise ValueError(f"{name} is empty")
-        for x in vec:
-            if type(x) is not int or x < 0:
-                raise ValueError(f"{name} entry {x!r} invalid: fiber margins are integers >= 0")
-    if sum(mA) != sum(mB):
-        raise ValueError(f"margin sums differ: {sum(mA)} vs {sum(mB)}")
-    return mA, mB
 
 
 def _fiber_count(mA, mB, cap: int) -> int:
@@ -421,7 +407,7 @@ def _fiber_codes(mA, mB, cap: int) -> Iterator[int]:
 def fiber_tables(mA, mB, cap: int = DEFAULT_CAP) -> Iterator[Table]:
     """fiber_enumerate's tables one at a time.  The margins are checked
     on the call; the count against cap runs before the first table."""
-    mA, mB = check_fiber_margins(mA, mB)
+    mA, mB = check_margins(mA, mB, 0)
     J, full = len(mB), (1 << len(mB)) - 1
     row = functools.cache(_row_decoder(J))
     shifts = range(0, len(mA) * J, J)
@@ -457,7 +443,7 @@ def verify_connectivity(mA, mB, basis: Optional[Sequence[Move]] = None,
     bounds the default basis and the fiber's tables.  The union-find
     runs over the tables' bit codes; no dense table is built.
     """
-    mA, mB = check_fiber_margins(mA, mB)
+    mA, mB = check_margins(mA, mB, 0)
     I, J = len(mA), len(mB)
     if basis is None:
         basis = markov_basis(I, J, cap=cap)

@@ -22,7 +22,8 @@ from fractions import Fraction as Rational
 from typing import Iterable, Iterator
 
 from .cycles import contains_cycle
-from .design import DEFAULT_CAP, CapExceeded, Point, Points, check_size, fraction, margins
+from .design import (DEFAULT_CAP, CapExceeded, Point, Points, check_margins, check_size, fraction,
+                     margins)
 
 
 def is_saturated(points: Iterable[Point], I: int, J: int) -> bool:
@@ -32,18 +33,11 @@ def is_saturated(points: Iterable[Point], I: int, J: int) -> bool:
 
 
 def _check_margin_vectors(mA, mB) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    mA, mB = tuple(mA), tuple(mB)
-    I, J = len(mA), len(mB)
-    check_size(I, J)
-    for name, vec in (("mA", mA), ("mB", mB)):
-        for x in vec:
-            if type(x) is not int or x < 1:
-                raise ValueError(f"{name} entry {x!r} invalid: margins must be integers >= 1")
-    p = I + J - 1
-    if sum(mA) != p or sum(mB) != p:
-        raise ValueError(
-            f"margin sums must both equal I+J-1 = {p}, got {sum(mA)} and {sum(mB)}"
-        )
+    mA, mB = check_margins(mA, mB, 1)
+    check_size(len(mA), len(mB))
+    p = len(mA) + len(mB) - 1
+    if sum(mA) != p:
+        raise ValueError(f"margin sums must equal I+J-1 = {p}, got {sum(mA)}")
     return mA, mB
 
 

@@ -109,6 +109,18 @@ def test_booleans_are_not_levels_or_sizes():
         check_size(True, 3)
 
 
+@pytest.mark.parametrize(
+    "mA, mB, low, message",
+    [((), (1,), 0, "mA is empty"), ((1,), [], 0, "mB is empty"),
+     ((0, 2), (1, 1), 1, "mA entry 0 invalid: margins are ints >= 1"),
+     ((1, 1), (2, -1, 1), 0, "mB entry -1 invalid"), ((1,), (1, 1), 0, "margin sums differ: 1 vs 2")],
+)
+def test_check_margins_refuses_empty_low_and_unequal_vectors(mA, mB, low, message):
+    assert design.check_margins(iter([0, 2]), [1, 1], 0) == ((0, 2), (1, 1))
+    with pytest.raises(ValueError, match=message):
+        design.check_margins(mA, mB, low)
+
+
 @pytest.mark.parametrize("I,J", [(1, 2), (2, 1), (0, 0), (2, -3)])
 def test_check_size_rejects_degenerate(I, J):
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import time
 from collections import Counter
 
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from satfrac.cycles import count_k_cycles, decompose_cycle
+from satfrac.cycles import (count_k_cycles, decompose_cycle, derangements, enumerate_k_cycles,
+                            is_orthogonal_array)
 from satfrac import markov
 from satfrac.design import CapExceeded, from_table, table_margins
+from satfrac.linalg import integer_determinant
 from satfrac.markov import (
     Circuit,
     FiberReport,
@@ -28,7 +31,7 @@ from satfrac.markov import (
     verify_connectivity,
     walk_states,
 )
-from satfrac.saturation import is_saturated
+from satfrac.saturation import count_with_margins, is_saturated
 
 RIGID_TABLE = ((1, 1, 1, 1), (1, 0, 0, 0), (1, 0, 0, 0))
 THREE_TABLE_START = ((1, 1, 1, 0), (1, 0, 0, 0), (1, 0, 0, 1))
@@ -57,8 +60,12 @@ def test_move_of_2_circuit():
 
 
 def test_move_of_3_circuit():
-    move = circuit_to_move(Circuit(rows=(1, 2, 3), cols=(1, 3, 2)), 3, 4)
+    circuit = Circuit(rows=(1, 2, 3), cols=(1, 3, 2))
+    move = circuit_to_move(circuit, 3, 4)
     assert move == ((1, -1, 0, 0), (-1, 0, 1, 0), (0, 1, -1, 0))
+    edges = circuit.edge_sequence()
+    assert edges == ((1, 1), (2, 1), (2, 3), (3, 3), (3, 2), (1, 2))
+    assert [move[i - 1][j - 1] for i, j in edges] == [1, -1] * 3
 
 
 def test_every_move_balances_and_splits_like_a_cycle():
@@ -212,6 +219,11 @@ def test_apply_move_validates_input():
         apply_move(((1, 0), (0, 1)), ((1, -1), (-1, 1)), 2)
     with pytest.raises(ValueError):
         apply_move(((1, 0),), ((1, -1), (-1, 1)), 1)
+    # a grid with rows but no columns is refused by its size, on the call
+    with pytest.raises(ValueError, match="at least 2 x 2, got 2 x 0"):
+        apply_move(((), ()), ((), ()))
+    with pytest.raises(ValueError, match="at least 2 x 2, got 2 x 0"):
+        walk_states(((), ()), [((), ())], 2, 1)
 
 
 def test_apply_move_rejects_non_binary_input():
@@ -508,6 +520,34 @@ def test_walk_steps_must_be_an_int_on_the_call(steps):
         random_walk(THREE_TABLE_START, basis, steps, seed=1)
     with pytest.raises(ValueError, match="steps must be an int"):
         metropolis_walk(THREE_TABLE_START, basis, lambda t: 1.0, steps, seed=1)
+
+
+# Every count, level, degree, sign and margin entry is an int: type(x) is int.
+INT_ARGUMENTS = [
+    pytest.param(lambda x: markov_basis(4, 4, max_degree=x), 2.5, id="markov_basis-max_degree"),
+    pytest.param(lambda x: basis_size(4, 4, max_degree=x), "3", id="basis_size-max_degree"),
+    pytest.param(lambda x: next(circuits(3, 3, x)), 2.5, id="circuits-k-float"),
+    pytest.param(lambda x: next(circuits(3, 3, x)), None, id="circuits-k-none"),
+    pytest.param(lambda x: Circuit((x, 2), (1, 2)), True, id="Circuit-row"),
+    pytest.param(lambda x: Circuit((1, 2), (2, x)), 2.5, id="Circuit-column"),
+    pytest.param(lambda x: apply_move(((1, 0), (0, 1)), ((1, -1), (-1, 1)), x), True,
+                 id="apply_move-sign"),
+    pytest.param(derangements, True, id="derangements-k"),
+    pytest.param(count_k_cycles, True, id="count_k_cycles-k"),
+    pytest.param(lambda x: next(enumerate_k_cycles(3, 3, x)), True, id="enumerate_k_cycles-k"),
+    pytest.param(lambda x: is_orthogonal_array([(1, 1)], x), True,
+                 id="is_orthogonal_array-strength"),
+    pytest.param(lambda x: integer_determinant([[x]]), True, id="integer_determinant-entry"),
+    pytest.param(lambda x: count_with_margins((3, x, 2), (3, 1, 1, 1)), True,
+                 id="count_with_margins-entry"),
+    pytest.param(lambda x: fiber_enumerate((x, 1), (1, 1)), True, id="fiber_enumerate-entry"),
+]
+
+
+@pytest.mark.parametrize("call, bad", INT_ARGUMENTS)
+def test_int_arguments_refuse_bools_floats_strings_and_none_by_name(call, bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        call(bad)
 
 
 def test_walk_covers_the_three_table_fiber():
