@@ -141,6 +141,8 @@ def cmd_matrix(args) -> int:
 
 def cmd_det(args) -> int:
     points, I, J = parse_fraction_file(args.file)
+    if len(points) != I + J - 1:
+        raise ParseError(f"det needs I+J-1 = {I + J - 1} points, got {len(points)}")
     d = integer_determinant(model_matrix(points, I, J))
     return _report(args, True, {"determinant": d, "saturated": d != 0}, str(d))
 
@@ -225,7 +227,9 @@ def cmd_fiber(args) -> int:
 
 def cmd_verify(args) -> int:
     mA, mB = check_margins(*_margins_pair(args), 0)
-    basis = markov_basis(len(mA), len(mB), max_degree=args.max_degree, cap=args.cap)
+    # a one-row or one-column fiber holds at most one table and needs no moves
+    basis = (markov_basis(len(mA), len(mB), max_degree=args.max_degree, cap=args.cap)
+             if min(len(mA), len(mB)) > 1 else ())
     rep = verify_connectivity(mA, mB, basis=basis, cap=args.cap)
     payload = {
         "connected": rep.connected,

@@ -13,12 +13,14 @@ entry is named by row and column) and returns one mask per non-zero
 value, bit (i-1)*J + (j-1) for cell (i, j); _row_decoder and _rows turn
 masks back into row tuples.
 
-Every size, count, level, degree, sign and margin entry is an int in the
-sense type(x) is int (True and 2.0 are refused with ValueError);
-check_size checks a grid shape, check_margins a pair of margin vectors.
+Every size, count, cap, level, degree, sign and margin entry is an int
+in the sense type(x) is int (True and 2.0 are refused with ValueError);
+check_size checks a grid shape, check_margins a pair of margin vectors,
+check_cap a cap.
 """
 from __future__ import annotations
 
+import functools
 from collections import abc
 from typing import Callable, Iterable, Sequence
 
@@ -40,6 +42,13 @@ def check_size(I: int, J: int) -> None:
         raise ValueError("design size must be a pair of integers")
     if I < 2 or J < 2:
         raise ValueError(f"design size must be at least 2 x 2, got {I} x {J}")
+
+
+def check_cap(cap: int) -> None:
+    """Reject a cap that is not an int; a negative cap is an int that
+    every enumeration exceeds."""
+    if type(cap) is not int:
+        raise ValueError(f"cap must be an int, got {cap!r}")
 
 
 def check_margins(mA, mB, low: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -143,9 +152,10 @@ def _encode(grid: Sequence[Sequence[int]], what: str,
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
+@functools.cache
 def _row_decoder(J: int) -> Callable[[int], tuple[int, ...]]:
     """Function from a mask below 2**J to its row tuple of J 0/1 ints,
-    bit 0 first."""
+    bit 0 first; one shared function per width."""
     spec = f"0{J}b"
     return lambda mask: tuple(format(mask, spec).encode()[::-1].translate(_BITS))
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .cycles import UnionFind
-from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _row_decoder, _rows, check_margins,
-                     check_size, table_margins)
+from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _row_decoder, _rows, check_cap,
+                     check_margins, check_size, table_margins)
 
 Move = Table  # I x J integer grid, entries in {-1, 0, +1}
 
@@ -198,6 +198,7 @@ def markov_basis(
     goes higher.  The moves come in circuits() order, degree by degree.
     """
     top = _top_degree(I, J, max_degree)
+    check_cap(cap)
     total = basis_size(I, J, max_degree)
     if total > cap:
         hint = f"; max_degree=2 (--max-degree 2) gives {basis_size(I, J, 2)} swap moves"
@@ -408,6 +409,7 @@ def fiber_tables(mA, mB, cap: int = DEFAULT_CAP) -> Iterator[Table]:
     """fiber_enumerate's tables one at a time.  The margins are checked
     on the call; the count against cap runs before the first table."""
     mA, mB = check_margins(mA, mB, 0)
+    check_cap(cap)
     J, full = len(mB), (1 << len(mB)) - 1
     row = functools.cache(_row_decoder(J))
     shifts = range(0, len(mA) * J, J)
@@ -438,15 +440,18 @@ def verify_connectivity(mA, mB, basis: Optional[Sequence[Move]] = None,
     """Enumerate the fiber and check the move graph has one component.
 
     An empty or singleton fiber counts as connected.  basis defaults to
-    the full circuit basis of the len(mA) x len(mB) grid; a given basis
+    the full circuit basis of the len(mA) x len(mB) grid, or to no moves
+    when that grid has one row or one column, whose fiber holds at most
+    one table; a given basis
     is checked against that shape before the fiber is enumerated.  cap
     bounds the default basis and the fiber's tables.  The union-find
     runs over the tables' bit codes; no dense table is built.
     """
     mA, mB = check_margins(mA, mB, 0)
+    check_cap(cap)
     I, J = len(mA), len(mB)
     if basis is None:
-        basis = markov_basis(I, J, cap=cap)
+        basis = markov_basis(I, J, cap=cap) if min(I, J) > 1 else ()
     plus, minus = _basis_masks(basis, I, J)
     codes = list(_fiber_codes(mA, mB, cap))
     fiber, uf = set(codes), UnionFind()

@@ -22,8 +22,8 @@ from fractions import Fraction as Rational
 from typing import Iterable, Iterator
 
 from .cycles import contains_cycle
-from .design import (DEFAULT_CAP, CapExceeded, Point, Points, check_margins, check_size, fraction,
-                     margins)
+from .design import (DEFAULT_CAP, CapExceeded, Point, Points, check_cap, check_margins, check_size,
+                     fraction, margins)
 
 
 def is_saturated(points: Iterable[Point], I: int, J: int) -> bool:
@@ -160,6 +160,7 @@ def enumerate_saturated(I: int, J: int, cap: int = DEFAULT_CAP) -> Iterator[Poin
     refuses to start when the total count exceeds the cap.
     """
     check_size(I, J)
+    check_cap(cap)
     total = count_saturated(I, J)
     if total > cap:
         raise CapExceeded(f"{total} saturated fractions exceed the cap of {cap}")

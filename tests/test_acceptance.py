@@ -269,3 +269,13 @@ def test_find_cycle_linear_time_guard():
     best = min(_timed(lambda: sf.find_cycle(tree)) for _ in range(3))
     assert best < 0.05
     print(f"\n[PASS] find_cycle on a 150x150 spanning tree in {best * 1e3:.2f} ms")
+
+
+def test_sparse_determinant_time_guard():
+    # unit-pivot sparse elimination; dense Bareiss took ~1.6 s on this 299 x 299 matrix
+    tree = oracles.random_tree_fraction(150, 150, random.Random(150))
+    X = sf.model_matrix(tree, 150, 150)
+    assert abs(sf.integer_determinant(X)) == 1
+    best = min(_timed(lambda: sf.integer_determinant(X)) for _ in range(3))
+    assert best < 0.5
+    print(f"\n[PASS] determinant of a 150x150 tree's model matrix in {best * 1e3:.1f} ms")

@@ -115,6 +115,15 @@ def test_det_rejects_non_square(capsys, tmp_path):
     assert "error" in err
 
 
+def test_det_names_the_needed_point_count(capsys, tmp_path):
+    f = tmp_path / "short.grid"
+    f.write_text(SHORT_GRID)
+    for argv in (("det", str(f)), ("det", str(f), "--json")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: det needs I+J-1 = 6 points, got 5\n"
+
+
 def test_matrix_from_file(capsys, saturated_file):
     code, out, _ = run(capsys, "matrix", saturated_file)
     assert code == 0
@@ -376,6 +385,16 @@ def test_verify_json(capsys):
     doc = check_report(out)
     assert doc["payload"]["fiber_size"] == 1
     assert doc["payload"]["connected"] is True
+
+
+def test_verify_one_row_or_one_column_fiber(capsys):
+    code, out, _ = run(capsys, "verify", "--margins", "1,1", "2")
+    assert code == 0
+    assert out == "connected: 1 table(s), 1 component(s), 0 move(s)\n"
+    code, out, _ = run(capsys, "verify", "--margins", "3", "1,1,1", "--json")
+    assert code == 0
+    assert check_report(out)["payload"] == {
+        "connected": True, "fiber_size": 1, "components": 1, "moves": 0}
 
 
 def test_parse_error_exit(capsys, tmp_path):

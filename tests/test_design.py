@@ -248,3 +248,4 @@ def test_the_codec_sets_bit_i_times_J_plus_j_for_cell_i_j():
         assert tuple(tuple(p - m for p, m in zip(*rows)) for rows in zip(plus, minus)) == move
     assert design._encode(((0, 1, 0), (0, 0, 0)), "table") == (2, 3, [2])
     assert design._rows(2 | 1 << 5, 2, 3, design._row_decoder(3)) == ((0, 1, 0), (0, 0, 1))
+    assert design._row_decoder(3) is design._row_decoder(3)  # one decoder per width

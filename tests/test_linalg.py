@@ -1,11 +1,13 @@
 """Model matrices and exact integer determinants."""
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from satfrac import linalg
 from satfrac.linalg import (
     full_model_matrix,
     integer_determinant,
@@ -117,6 +119,75 @@ def test_determinant_large_values_stay_exact():
 
     rng = random.Random(0)
     m = [[rng.choice((-7, 7)) for _ in range(10)] for _ in range(10)]
+    assert integer_determinant(m) == oracles.det_via_fractions(m)
+
+
+# mostly 0 and +-1, as after unit-pivot steps, with the non-unit entries
+# that send the rest of a matrix to the Bareiss phase
+SPARSE_ENTRIES = (0, 0, 0, 0, 1, -1, 1, -1, 2, -3, 7)
+
+
+def _random_matrix(rng, n, entries=SPARSE_ENTRIES):
+    return [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+
+
+def test_determinant_matches_rational_elimination_on_sparse_and_fallback_matrices(monkeypatch):
+    # where the Bareiss phase starts: at column 0, midway, or (None) never
+    starts = Counter()
+    bareiss = linalg._bareiss
+
+    def recorded(m):
+        starts[n - len(m) if len(m) < n else 0] += 1
+        return bareiss(m)
+
+    monkeypatch.setattr(linalg, "_bareiss", recorded)
+    rng = random.Random(1101)
+    for _ in range(2000):
+        n = rng.randint(0, 8)
+        entries = rng.choice((SPARSE_ENTRIES, (0, 1, -1), (0, 2, -3, 7)))
+        m = _random_matrix(rng, n, entries)
+        before = sum(starts.values())
+        assert integer_determinant(m) == oracles.det_via_fractions(m), m
+        if sum(starts.values()) == before:
+            starts[None] += 1
+    assert starts[0] and starts[None] and set(starts) - {0, None}, starts
+
+
+def test_determinant_of_matrices_with_repeated_or_zero_rows_is_zero():
+    rng = random.Random(1102)
+    for _ in range(500):
+        n = rng.randint(2, 8)
+        m = _random_matrix(rng, n)
+        a, b = rng.sample(range(n), 2)
+        sign = rng.choice((1, -1, 0))  # 0: a zero row
+        m[b] = [sign * x for x in m[a]]
+        assert integer_determinant(m) == oracles.det_via_fractions(m) == 0, m
+        transposed = [list(col) for col in zip(*m)]
+        assert integer_determinant(transposed) == 0, transposed
+
+
+def test_determinant_of_tree_and_one_cycle_model_matrices():
+    rng = random.Random(1103)
+    sizes = [(30, 30), (2, 30), (30, 2)] + [(rng.randint(2, 15), rng.randint(2, 15)) for _ in range(40)]
+    for I, J in sizes:
+        tree = oracles.random_tree_fraction(I, J, rng)
+        X = model_matrix(tree, I, J)
+        assert integer_determinant(X) == oracles.det_via_fractions(X) in (1, -1)
+        # swap one tree point for another grid point: one cycle, or a new tree
+        outside = [(i, j) for i in range(1, I + 1) for j in range(1, J + 1) if (i, j) not in tree]
+        if outside:
+            drop = rng.choice(tree)
+            swapped = [p for p in tree if p != drop] + [rng.choice(outside)]
+            X = model_matrix(swapped, I, J)
+            d = integer_determinant(X)
+            assert d == oracles.det_via_fractions(X)
+            assert (d != 0) == oracles.is_tree_fraction(swapped, I, J)
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from(SPARSE_ENTRIES) | st.integers(-9, 9), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_determinant_matches_rational_elimination_at_every_size(m):
     assert integer_determinant(m) == oracles.det_via_fractions(m)
 
 

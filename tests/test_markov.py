@@ -31,7 +31,7 @@ from satfrac.markov import (
     verify_connectivity,
     walk_states,
 )
-from satfrac.saturation import count_with_margins, is_saturated
+from satfrac.saturation import count_with_margins, enumerate_saturated, is_saturated
 
 RIGID_TABLE = ((1, 1, 1, 1), (1, 0, 0, 0), (1, 0, 0, 0))
 THREE_TABLE_START = ((1, 1, 1, 0), (1, 0, 0, 0), (1, 0, 0, 1))
@@ -541,6 +541,14 @@ INT_ARGUMENTS = [
     pytest.param(lambda x: count_with_margins((3, x, 2), (3, 1, 1, 1)), True,
                  id="count_with_margins-entry"),
     pytest.param(lambda x: fiber_enumerate((x, 1), (1, 1)), True, id="fiber_enumerate-entry"),
+    # caps the work fits under, so an unchecked cap would be accepted
+    pytest.param(lambda x: enumerate_saturated(2, 2, cap=x), 1e7, id="enumerate_saturated-cap"),
+    pytest.param(lambda x: enumerate_saturated(2, 2, cap=x), "x", id="enumerate_saturated-cap-str"),
+    pytest.param(lambda x: markov_basis(2, 2, cap=x), True, id="markov_basis-cap"),
+    pytest.param(lambda x: markov.fiber_tables((1, 1), (1, 1), cap=x), 2.5, id="fiber_tables-cap"),
+    pytest.param(lambda x: fiber_enumerate((1, 1), (1, 1), cap=x), None, id="fiber_enumerate-cap"),
+    pytest.param(lambda x: verify_connectivity((1, 1), (1, 1), cap=x), 2.0,
+                 id="verify_connectivity-cap"),
 ]
 
 
@@ -613,6 +621,14 @@ def test_verify_connectivity_examples():
     assert report.connected and bool(report)
     singleton = verify_connectivity((4, 1, 1), (3, 1, 1, 1))
     assert singleton.connected and singleton.fiber_size == 1
+
+
+def test_verify_connectivity_takes_one_row_and_one_column_fibers():
+    # such a fiber holds at most one table: connected with no moves at all
+    for mA, mB, size in (((1,), (1,), 1), ((3,), (1, 1, 1), 1), ((1, 0, 1), (2,), 1),
+                         ((3,), (2, 1), 0), ((0,), (0, 0), 1)):
+        assert verify_connectivity(mA, mB) == FiberReport(size, size, True), (mA, mB)
+        assert verify_connectivity(mA, mB, basis=()) == FiberReport(size, size, True)
 
 
 def test_all_positive_margin_3x4_fibers_connect():
