@@ -442,10 +442,10 @@ def verify_connectivity(mA, mB, basis: Optional[Sequence[Move]] = None,
     An empty or singleton fiber counts as connected.  basis defaults to
     the full circuit basis of the len(mA) x len(mB) grid, or to no moves
     when that grid has one row or one column, whose fiber holds at most
-    one table; a given basis
-    is checked against that shape before the fiber is enumerated.  cap
-    bounds the default basis and the fiber's tables.  The union-find
-    runs over the tables' bit codes; no dense table is built.
+    one table; a given basis is checked against that shape before the
+    fiber is enumerated.  cap bounds the default basis and the fiber's
+    tables.  The union-find runs over the tables' bit codes; no dense
+    table is built.
     """
     mA, mB = check_margins(mA, mB, 0)
     check_cap(cap)
