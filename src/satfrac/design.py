@@ -10,8 +10,8 @@ fraction() for normalization.  The 0/1 incidence table N has N[i-1][j-1]
 Dense grids and bit masks meet in one codec here: _encode checks a grid
 (equal rows of ints from a given set; True and 1.0 are refused; a bad
 entry is named by row and column) and returns one mask per non-zero
-value, bit (i-1)*J + (j-1) for cell (i, j); _row_decoder and _rows turn
-masks back into row tuples.
+value, bit (i-1)*J + (j-1) for cell (i, j); _row_decoder, _rows and
+_tables turn masks, one or a stream of them, back into row tuples.
 
 Every size, count, cap, level, degree, sign and margin entry is an int
 in the sense type(x) is int (True and 2.0 are refused with ValueError);
@@ -21,8 +21,10 @@ check_cap a cap.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from collections import abc
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Point = tuple[int, int]
 Points = tuple[Point, ...]
@@ -164,6 +166,13 @@ def _rows(code: int, I: int, J: int, row: Callable[[int], tuple[int, ...]]) -> T
     """The I x J table of a mask, each row's J-bit slice decoded by row."""
     full = (1 << J) - 1
     return tuple([row(code >> s & full) for s in range(0, I * J, J)])
+
+
+def _tables(codes: Iterable[int], I: int, J: int, row: Callable) -> Iterator[Table]:
+    """_rows over a stream of masks: one map per row over a tee of codes, zipped."""
+    full = (1 << J) - 1
+    return zip(*[map(row, map(full.__and__, map(operator.rshift, c, itertools.repeat(s))))
+                 for c, s in zip(itertools.tee(codes, I), range(0, I * J, J))])
 
 
 def table_margins(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:

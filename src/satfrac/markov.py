@@ -25,8 +25,9 @@ Dense tuple tables appear only at the API edge: walk states, apply_move
 results, fiber tables and the tables a target weight function sees.
 Each row is decoded from its J-bit slice of the mask; a walk step
 decodes only the rows its move touches and shares the others with the
-state before.  Table and move entries must be ints: True and 1.0 are
-refused.  A dense move's row and column sums must all be 0.
+state before.  Fiber tables stream through design._tables from one lazy
+map of codes per two-row tail.  Table and move entries must be ints:
+True and 1.0 are refused.  A dense move's row and column sums must be 0.
 """
 from __future__ import annotations
 
@@ -37,11 +38,11 @@ import operator
 import random
 from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cycles import UnionFind
-from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _row_decoder, _rows, check_cap,
-                     check_margins, check_size, table_margins)
+from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _row_decoder, _rows, _tables,
+                     check_cap, check_margins, check_size, table_margins)
 
 Move = Table  # I x J integer grid, entries in {-1, 0, +1}
 
@@ -144,16 +145,22 @@ class MoveBasis(abc.Sequence):
     """Read-only sequence of the moves of one I x J grid.
 
     Holds only the shape and each move's (plus, minus) masks.  Indexing
-    and iteration decode dense Move grids; a slice is again a MoveBasis.
-    Compares equal to the tuple of its decoded moves.
+    and iteration decode dense Move grids through the basis's one cache
+    of signed rows, keyed by (plus, minus) row slices, 0 or one bit in a
+    circuit.  A slice is a MoveBasis.  Equals the tuple of its moves.
     """
 
-    __slots__ = ("shape", "plus", "minus")
+    __slots__ = ("shape", "plus", "minus", "_row")
 
     def __init__(self, shape: tuple[int, int], plus: Sequence[int], minus: Sequence[int]):
         self.shape = shape
         self.plus = tuple(plus)
         self.minus = tuple(minus)
+        row = _row_decoder(shape[1])
+        self._row = functools.cache(lambda p, m: tuple(map(operator.sub, row(p), row(m))))
+
+    def __reduce__(self):
+        return MoveBasis, (self.shape, self.plus, self.minus)
 
     def __len__(self) -> int:
         return len(self.plus)
@@ -161,17 +168,16 @@ class MoveBasis(abc.Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return MoveBasis(self.shape, self.plus[index], self.minus[index])
-        return self._move(self.plus[index], self.minus[index], _row_decoder(self.shape[1]))
+        return self._move(self.plus[index], self.minus[index])
 
     def __iter__(self) -> Iterator[Move]:
-        row = functools.cache(_row_decoder(self.shape[1]))
-        for p, m in zip(self.plus, self.minus):
-            yield self._move(p, m, row)
+        return map(self._move, self.plus, self.minus)
 
-    def _move(self, plus: int, minus: int, row) -> Move:
+    def _move(self, plus: int, minus: int) -> Move:
         I, J = self.shape
-        return tuple([tuple(map(operator.sub, a, b))
-                      for a, b in zip(_rows(plus, I, J, row), _rows(minus, I, J, row))])
+        full, shifts = (1 << J) - 1, range(0, I * J, J)
+        return tuple(map(self._row, map(full.__and__, map(plus.__rshift__, shifts)),
+                         map(full.__and__, map(minus.__rshift__, shifts))))
 
     def __eq__(self, other):
         if isinstance(other, MoveBasis):
@@ -379,48 +385,53 @@ def _fiber_count(mA, mB, cap: int) -> int:
     return total
 
 
-def _fiber_codes(mA, mB, cap: int) -> Iterator[int]:
-    """The fiber's table codes in fiber_enumerate's order, CapExceeded past cap
-    before the first: row i takes each column needing a 1 in every row left,
-    the rest from any columns needing some."""
+def _fiber_codes(mA, mB, cap: int) -> Iterator[Iterable[int]]:
+    """The fiber's table codes in fiber_enumerate's order, as iterables to
+    chain, CapExceeded past cap before the first: row i takes each column
+    needing a 1 in every row left, the rest from any columns needing some.
+    With two rows left, row I-2 takes need | x and row I-1 need | ones - x
+    for x over combinations of the columns needing one 1: one lazy map."""
     n = _fiber_count(mA, mB, cap)
     if n > cap:
         raise CapExceeded(f"fiber holds more than the cap of {cap} tables")
     if not n:
         return
-    I, J = len(mA), len(mB)
+    I, J = max(len(mA), 2), len(mB)  # one row gains an all-0 row 2: the same code
     _, _, level = _encode((mB,), "mB", range(I + 1))  # level[k]: columns needing k ones
     level.insert(0, (1 << J) - 1 ^ sum(level))
     stack = [(0, 0, level)]
     while stack:
         i, code, level = stack.pop()
-        need = level[I - i]
-        if i == I - 1:
-            yield code | need << i * J
-            continue
-        free = [1 << j for j in range(J) if not (level[0] | need) >> j & 1]
+        need, s = level[I - i], i * J
         k = mA[i] - need.bit_count()
-        masks = [need | sum(c) for c in itertools.combinations(free, k)] if k >= 0 else []
-        stack += [(i + 1, code | m << i * J, [lo & ~m | hi & m for lo, hi in zip(level, level[1:])])
-                  for m in reversed(masks)]
+        free = [1 << j for j in range(J) if not (level[0] | need) >> j & 1]
+        xs = map(sum, itertools.combinations(free, k)) if k >= 0 else ()
+        if i == I - 2:
+            base = code | need << s | (need | level[1]) << s + J
+            yield map(base.__add__, map(((1 << s) - (1 << s + J)).__mul__, xs))
+        else:
+            stack += [(i + 1, code | m << s, [lo & ~m | hi & m for lo, hi in zip(level, level[1:])])
+                      for m in reversed([need | x for x in xs])]
 
 
 def fiber_tables(mA, mB, cap: int = DEFAULT_CAP) -> Iterator[Table]:
-    """fiber_enumerate's tables one at a time.  The margins are checked
-    on the call; the count against cap runs before the first table."""
-    mA, mB = check_margins(mA, mB, 0)
-    check_cap(cap)
-    J, full = len(mB), (1 << len(mB)) - 1
-    row = functools.cache(_row_decoder(J))
-    shifts = range(0, len(mA) * J, J)
-    return (tuple([row(code >> s & full) for s in shifts]) for code in _fiber_codes(mA, mB, cap))
+    """fiber_enumerate's tables one at a time; only the last 64 rows are
+    kept.  Margins are checked on the call, the cap before the first table."""
+    return _fiber_tables(mA, mB, cap, functools.lru_cache(64))
 
 
 def fiber_enumerate(mA, mB, cap: int = DEFAULT_CAP) -> list[Table]:
     """Every 0/1 table with row sums mA and column sums mB, row by row in
     itertools.combinations order; equal rows share one tuple.  Over cap
     tables by the exact count raise CapExceeded before any is built."""
-    return list(fiber_tables(mA, mB, cap))
+    return list(_fiber_tables(mA, mB, cap, functools.cache))
+
+
+def _fiber_tables(mA, mB, cap: int, keep: Callable) -> Iterator[Table]:
+    mA, mB = check_margins(mA, mB, 0)
+    check_cap(cap)
+    codes = itertools.chain.from_iterable(_fiber_codes(mA, mB, cap))
+    return _tables(codes, len(mA), len(mB), keep(_row_decoder(len(mB))))
 
 
 @dataclass(frozen=True)
@@ -453,7 +464,7 @@ def verify_connectivity(mA, mB, basis: Optional[Sequence[Move]] = None,
     if basis is None:
         basis = markov_basis(I, J, cap=cap) if min(I, J) > 1 else ()
     plus, minus = _basis_masks(basis, I, J)
-    codes = list(_fiber_codes(mA, mB, cap))
+    codes = list(itertools.chain.from_iterable(_fiber_codes(mA, mB, cap)))
     fiber, uf = set(codes), UnionFind()
     for c in codes:
         for up, down in zip(plus, minus):

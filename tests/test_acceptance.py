@@ -279,3 +279,12 @@ def test_sparse_determinant_time_guard():
     best = min(_timed(lambda: sf.integer_determinant(X)) for _ in range(3))
     assert best < 0.5
     print(f"\n[PASS] determinant of a 150x150 tree's model matrix in {best * 1e3:.1f} ms")
+
+
+def test_fiber_enumerate_time_guard():
+    # 67,950 tables; every branch ends in a two-row tail of lazy codes
+    m = (2,) * 6
+    assert len(sf.fiber_enumerate(m, m)) == 67950
+    best = min(_timed(lambda: sf.fiber_enumerate(m, m)) for _ in range(3))
+    assert best < 0.75
+    print(f"\n[PASS] fiber_enumerate on (2,)*6 x (2,)*6 in {best * 1e3:.0f} ms")

@@ -597,6 +597,37 @@ def test_fiber_streams_without_holding_the_fiber(monkeypatch):
     assert peak < 50_000
 
 
+def test_two_row_fiber_streams_without_holding_its_tail(monkeypatch):
+    # the root of (10, 10) x (1,)*20 is the two-row tail over C(20, 10) =
+    # 184,756 tables; a tail held as a list or stack of tables takes tens
+    # of MB before the first line.  CPython 3.11 and 3.12 push freed
+    # 20-entry tuples onto a free list they never pop, up to 2,000 of them
+    # (400 KB), so the test fills that list first and measures the stream.
+    class Enough(Exception):
+        pass
+
+    class Head:
+        lines = 0
+
+        def write(self, text):
+            self.lines += 1
+            if self.lines == 1000:
+                raise Enough
+
+    monkeypatch.setattr(sys, "stdout", Head())
+    assert main(["fiber", "--margins", "1", "1"]) == 0  # builds the parser
+    warm = [tuple(range(n, n + 20)) for n in range(2000)]
+    del warm
+    tracemalloc.start()
+    try:
+        with pytest.raises(Enough):
+            main(["fiber", "--margins", "10,10", ",".join(["1"] * 20)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+
+
 def test_fiber_cap_counts_tables(capsys):
     twos = ",".join(["2"] * 6)
     code, out, err = run(capsys, "fiber", "--margins", twos, twos)

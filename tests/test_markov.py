@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import re
 import time
@@ -141,6 +142,20 @@ def test_basis_decodes_to_circuit_moves_in_order(I, J, max_degree):
     assert set(basis) == set(want)
     with pytest.raises(IndexError):
         basis[len(want)]
+
+
+@pytest.mark.parametrize("I,J", [(4, 4), (3, 5)])
+def test_basis_index_and_iteration_decode_every_circuit_move_alike(I, J):
+    # both paths share the basis's one cache of signed rows
+    want = [circuit_to_move(c, I, J) for k in range(2, min(I, J) + 1) for c in circuits(I, J, k)]
+    basis = markov_basis(I, J)
+    assert list(basis) == want and [basis[n] for n in range(len(basis))] == want
+    for part in (slice(1, None, 3), slice(None, None, -2), slice(5, 40)):
+        sub = basis[part]
+        assert isinstance(sub, MoveBasis) and list(sub) == want[part]
+        assert [sub[n] for n in range(len(sub))] == want[part]
+    restored = pickle.loads(pickle.dumps(basis))
+    assert restored == basis and list(restored) == want
 
 
 @pytest.mark.parametrize(
@@ -360,6 +375,21 @@ def test_fiber_equals_brute_force_in_order_and_cap_counts_tables_on_every_3x4_fi
     assert fibers == 3752
 
 
+@pytest.mark.parametrize("I,J,fibers", [(1, 4, 16), (2, 4, 301), (4, 2, 301), (4, 3, 3752)])
+def test_fiber_equals_brute_force_in_order_where_the_root_has_one_or_two_rows_left(I, J, fibers):
+    # one-row fibers, and fibers whose root is already the two-row tail,
+    # with the tail two rows below the root on 4-row grids
+    seen = 0
+    for mA, mB in _all_fibers(I, J):
+        seen += 1
+        tables = oracles.brute_fiber(mA, mB)
+        n = len(tables)
+        assert fiber_enumerate(mA, mB, cap=n) == tables
+        with pytest.raises(CapExceeded, match=f"more than the cap of {n - 1} tables"):
+            fiber_enumerate(mA, mB, cap=n - 1)
+    assert seen == fibers
+
+
 def test_fiber_count_matches_known_square_fibers():
     # OEIS A058527: 2n x 2n 0/1 tables with every row and column sum n
     known = [2, 90, 297200, 116963796250, 6736218287430460752,
@@ -378,6 +408,14 @@ def test_fiber_past_the_placement_bound_streams_under_the_default_cap():
     assert len({id(row) for t in tables for row in t}) <= 15  # one tuple per row mask
     assert all(table_margins(t) == ((2,) * 6, (2,) * 6) for t in tables[::97])
     assert len(fiber_enumerate((3,) * 6, (3,) * 6)) == 297200
+
+
+def test_fiber_enumerate_shares_equal_rows_past_the_stream_window():
+    # 70 distinct rows of 8 columns, more than the 64 a stream keeps; the
+    # list keeps one tuple per distinct row however wide the grid is
+    tables = fiber_enumerate((4,) * 4, (2,) * 8)
+    assert len(tables) == 44730
+    assert len({id(row) for t in tables for row in t}) == math.comb(8, 4)
 
 
 @pytest.mark.parametrize("mA, mB, seconds", [
