@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
 import sys
 
-from .design import DEFAULT_CAP, CapExceeded, check_margins, to_table
+from .design import DEFAULT_CAP, CapExceeded, _mask, _rows, _tables, check_margins
 from .linalg import (
     full_model_matrix,
     integer_determinant,
@@ -40,15 +41,14 @@ from .saturation import (
     generate_with_margins,
     sample_uniform_saturated,
 )
-from .markov import fiber_tables, markov_basis, verify_connectivity, walk_states
+from .markov import _fiber_stream, _walk, markov_basis, verify_connectivity
 from .fileio import (
     ParseError,
+    _text_form,
     parse_fraction_file,
     parse_margin_vector,
     render_grid,
     render_json,
-    render_signed_table,
-    render_table,
 )
 
 
@@ -84,23 +84,17 @@ def _size_or_margins(args):
     return args.I, args.J, None
 
 
-def _stream(records, fmt: str, grid, line) -> int:
-    """Write each record as grid(record) blocks separated by one blank line,
-    or as one line(record) per line."""
-    write = sys.stdout.write
-    if fmt == "grid":
-        sep = ""
-        for record in records:
-            write(sep + grid(record))
+def _stream(texts, fmt: str) -> int:
+    """Write the records' texts 64 at a time: JSON records one per line,
+    grid blocks (each ending in a newline) with one blank line between."""
+    write, sep = sys.stdout.write, ""
+    while chunk := list(itertools.islice(texts, 64)):
+        if fmt == "grid":
+            write(sep + "\n".join(chunk))
             sep = "\n"
-    else:
-        for record in records:
-            write(line(record) + "\n")
+        else:
+            write("\n".join(chunk) + "\n")
     return 0
-
-
-def _table_json(table) -> str:
-    return json.dumps([list(row) for row in table])
 
 
 def cmd_check(args) -> int:
@@ -162,8 +156,8 @@ def cmd_enumerate(args) -> int:
         if total > args.cap:
             raise CapExceeded(f"{total} saturated fractions exceed the cap of {args.cap}")
         fractions = generate_with_margins(*margins)
-    return _stream(fractions, args.format,
-                   lambda f: render_grid(f, I, J), lambda f: render_json(f, I, J))
+    render = render_grid if args.format == "grid" else render_json
+    return _stream(map(render, fractions, itertools.repeat(I), itertools.repeat(J)), args.format)
 
 
 def cmd_sample(args) -> int:
@@ -171,8 +165,8 @@ def cmd_sample(args) -> int:
         raise ParseError("--count must be at least 1")
     I, J, rng = args.I, args.J, random.Random(args.seed)
     draws = (sample_uniform_saturated(I, J, rng) for _ in range(args.count))
-    return _stream(draws, args.format,
-                   lambda f: render_grid(f, I, J), lambda f: render_json(f, I, J))
+    render = render_grid if args.format == "grid" else render_json
+    return _stream(map(render, draws, itertools.repeat(I), itertools.repeat(J)), args.format)
 
 
 def cmd_decompose(args) -> int:
@@ -194,7 +188,8 @@ def cmd_find_cycle(args) -> int:
 
 def cmd_basis(args) -> int:
     moves = markov_basis(args.I, args.J, max_degree=args.max_degree, cap=args.cap)
-    return _stream(moves, args.format, render_signed_table, _table_json)
+    row, join = _text_form(args.format, args.J, signed=True)
+    return _stream(map(join, _tables(args.I, args.J, row, moves.plus, moves.minus)), args.format)
 
 
 def cmd_walk(args) -> int:
@@ -204,9 +199,12 @@ def cmd_walk(args) -> int:
     if args.steps < 0:
         raise ParseError("--steps must be at least 0")
     points, I, J = parse_fraction_file(args.start)
-    start = to_table(points, I, J)
     basis = markov_basis(I, J, max_degree=args.max_degree, cap=args.cap)
-    states = walk_states(start, basis, args.steps, args.seed)
+    # the chain steps on codes and keeps each state as its rows' texts
+    row, join = _text_form(args.format, J)
+    code, rng = _mask(points, J), random.Random(args.seed)
+    start = _rows(I, J, row, code)
+    states = _walk(start, code, basis.plus, basis.minus, J, args.steps, rng, row)
 
     def emitted():  # every M-th state, then the final one unless it was just emitted
         state, shown = start, False
@@ -217,12 +215,13 @@ def cmd_walk(args) -> int:
         if not shown:
             yield state
 
-    return _stream(emitted(), args.format, render_table, _table_json)
+    return _stream(map(join, emitted()), args.format)
 
 
 def cmd_fiber(args) -> int:
-    mA, mB = _margins_pair(args)
-    return _stream(fiber_tables(mA, mB, cap=args.cap), args.format, render_table, _table_json)
+    I, J, codes = _fiber_stream(*_margins_pair(args), args.cap)
+    row, join = _text_form(args.format, J)
+    return _stream(map(join, _tables(I, J, row, codes)), args.format)
 
 
 def cmd_verify(args) -> int:

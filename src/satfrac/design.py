@@ -10,8 +10,9 @@ fraction() for normalization.  The 0/1 incidence table N has N[i-1][j-1]
 Dense grids and bit masks meet in one codec here: _encode checks a grid
 (equal rows of ints from a given set; True and 1.0 are refused; a bad
 entry is named by row and column) and returns one mask per non-zero
-value, bit (i-1)*J + (j-1) for cell (i, j); _row_decoder, _rows and
-_tables turn masks, one or a stream of them, back into row tuples.
+value, bit (i-1)*J + (j-1) for cell (i, j).  _rows and _tables apply a
+row function, such as _row_decoder's row tuples, to each row's J-bit
+slice of one grid's masks or of streams of them, read side by side.
 
 Every size, count, cap, level, degree, sign and margin entry is an int
 in the sense type(x) is int (True and 2.0 are refused with ValueError);
@@ -117,8 +118,12 @@ def margins(points: Iterable[Point], I: int, J: int) -> tuple[tuple[int, ...], t
 
 def to_table(points: Iterable[Point], I: int, J: int) -> Table:
     """0/1 incidence table of a fraction."""
-    code = sum(1 << (i - 1) * J + j - 1 for i, j in fraction(points, I, J))
-    return _rows(code, I, J, _row_decoder(J))
+    return _rows(I, J, _row_decoder(J), _mask(fraction(points, I, J), J))
+
+
+def _mask(points: Points, J: int) -> int:
+    """The codec's mask of distinct points on a grid of J columns."""
+    return sum(1 << (i - 1) * J + j - 1 for i, j in points)
 
 
 def from_table(table: Sequence[Sequence[int]]) -> Points:
@@ -162,17 +167,17 @@ def _row_decoder(J: int) -> Callable[[int], tuple[int, ...]]:
     return lambda mask: tuple(format(mask, spec).encode()[::-1].translate(_BITS))
 
 
-def _rows(code: int, I: int, J: int, row: Callable[[int], tuple[int, ...]]) -> Table:
-    """The I x J table of a mask, each row's J-bit slice decoded by row."""
-    full = (1 << J) - 1
-    return tuple([row(code >> s & full) for s in range(0, I * J, J)])
+def _rows(I: int, J: int, row: Callable, *codes: int) -> tuple:
+    """row over each row's J-bit slices of the codes, side by side; J >= 1."""
+    full, shifts = (1 << J) - 1, range(0, I * J, J)
+    return tuple(map(row, *[map(full.__and__, map(code.__rshift__, shifts)) for code in codes]))
 
 
-def _tables(codes: Iterable[int], I: int, J: int, row: Callable) -> Iterator[Table]:
-    """_rows over a stream of masks: one map per row over a tee of codes, zipped."""
-    full = (1 << J) - 1
-    return zip(*[map(row, map(full.__and__, map(operator.rshift, c, itertools.repeat(s))))
-                 for c, s in zip(itertools.tee(codes, I), range(0, I * J, J))])
+def _tables(I: int, J: int, row: Callable, *streams: Iterable[int]) -> Iterator[tuple]:
+    """_rows over streams of codes: one map per row over tees of the streams, zipped."""
+    full, tees = (1 << J) - 1, [itertools.tee(stream, I) for stream in streams]
+    return zip(*[map(row, *[map(full.__and__, map(operator.rshift, t[i], itertools.repeat(i * J)))
+                            for t in tees]) for i in range(I)])
 
 
 def table_margins(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:

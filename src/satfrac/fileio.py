@@ -9,15 +9,18 @@ a first non-whitespace '{' means JSON.
 One render path: render_json and render_grid validate their points
 through design.fraction and build the text directly.  A JSON record is
 byte-for-byte what json.dumps({"I": I, "J": J, "points": ...}) gives.
+Tables and moves render from their masks, row by row (_text_form), as
+grid lines or as the JSON list of rows that json.dumps writes.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .design import Point, Points, Table, fraction
+from .design import Point, Points, Table, _encode, _rows, fraction
 
 
 # An optional '-' then ASCII digits: str.isdigit() also passes '²', which int() refuses.
@@ -135,11 +138,6 @@ def parse_margin_vector(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def render_table(table: Table) -> str:
-    """0/1 grid text of a table: one line of digits per row, newline-terminated."""
-    return "".join("".join(map(str, row)) + "\n" for row in table)
-
-
 def render_grid(points: Iterable[Point], I: int, J: int, header: bool = True) -> str:
     """Grid text of a fraction, newline-terminated, header included by default."""
     f = fraction(points, I, J)
@@ -157,5 +155,29 @@ def render_json(points: Iterable[Point], I: int, J: int) -> str:
 
 
 def render_signed_table(table: Table) -> str:
-    """Integer grid with aligned signs, for moves: rows of space-separated values."""
-    return "\n".join(" ".join(str(v) for v in row) for row in table) + "\n"
+    """Grid text of a move, one line of space-separated entries per row,
+    rendered from its masks in design's codec; a move with no cell is refused."""
+    I, J, masks = _encode(table, "move", (0, 1, -1))
+    if not I * J:
+        raise ValueError(f"move is {I} x {J}: it has no cells")
+    row, join = _text_form("grid", J, signed=True)
+    return join(_rows(I, J, row, *masks))
+
+
+def _text_form(fmt: str, J: int, signed: bool = False) -> tuple[Callable[..., str], Callable]:
+    """(row, join) for grids of width J in fmt: a row's text from its J-bit
+    slice, bit 0 first (a move row's from its plus and minus slices), and a
+    grid's from its rows'.  Row texts are memoised where they are few: a
+    move's row holds one 1 and one -1 or none, and a table's rows number
+    at most 2**8 up to width 8; a wider fiber streams in constant memory."""
+    spec, sep = f"0{J}b", ", " if fmt == "json" else " " if signed else ""
+    if signed:
+        row = lambda p, m: sep.join(["-1" if b == "1" else a for a, b in
+                                     zip(format(p, spec)[::-1], format(m, spec)[::-1])])
+    else:
+        row = lambda mask: sep.join(format(mask, spec)[::-1])
+    return functools.cache(row) if signed or J <= 8 else row, _JOIN[fmt]
+
+
+_JOIN = {"grid": lambda rows: "\n".join(rows) + "\n",
+         "json": lambda rows: "[[%s]]" % "], [".join(rows)}

@@ -21,13 +21,13 @@ masks and the shape: two ints per move, about 80 bytes a move on the
 6 x 6 full basis and 140 on the 20 x 20 degree-2 basis, where a dense
 tuple grid takes 616 and 4,200 bytes.  It decodes dense Move grids on
 indexing and iteration and compares equal to the tuple of those grids.
-Dense tuple tables appear only at the API edge: walk states, apply_move
-results, fiber tables and the tables a target weight function sees.
-Each row is decoded from its J-bit slice of the mask; a walk step
-decodes only the rows its move touches and shares the others with the
-state before.  Fiber tables stream through design._tables from one lazy
-map of codes per two-row tail.  Table and move entries must be ints:
-True and 1.0 are refused.  A dense move's row and column sums must be 0.
+Dense tuples only at the API edge: walk states, apply_move results,
+fiber_enumerate's tables and the tables a target weight function sees;
+the command line renders the same codes as text.  A walk step decodes
+only the rows its move touches and shares the others with the state
+before.  The fiber's codes stream from one lazy map per two-row tail.
+Table and move entries must be ints: True and 1.0 are refused.  A dense
+move's row and column sums must be 0.
 """
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cycles import UnionFind
-from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _row_decoder, _rows, _tables,
-                     check_cap, check_margins, check_size, table_margins)
+from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _mask, _row_decoder, _rows,
+                     _tables, check_cap, check_margins, check_size, table_margins)
 
 Move = Table  # I x J integer grid, entries in {-1, 0, +1}
 
@@ -87,10 +87,8 @@ def circuit_to_move(circuit: Circuit, I: int, J: int) -> Move:
     check_size(I, J)
     if max(circuit.rows) > I or max(circuit.cols) > J:
         raise ValueError(f"circuit does not fit a {I} x {J} grid")
-    grid = [[0] * J for _ in range(I)]
-    for t, (i, j) in enumerate(circuit.edge_sequence()):
-        grid[i - 1][j - 1] = -1 if t % 2 else 1
-    return tuple(tuple(row) for row in grid)
+    edges = circuit.edge_sequence()
+    return MoveBasis((I, J), [_mask(edges[0::2], J)], [_mask(edges[1::2], J)])[0]
 
 
 def _circuit_walks(I: int, J: int, k: int) -> Iterator[tuple[tuple[int, ...], list]]:
@@ -168,16 +166,10 @@ class MoveBasis(abc.Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return MoveBasis(self.shape, self.plus[index], self.minus[index])
-        return self._move(self.plus[index], self.minus[index])
+        return _rows(*self.shape, self._row, self.plus[index], self.minus[index])
 
     def __iter__(self) -> Iterator[Move]:
-        return map(self._move, self.plus, self.minus)
-
-    def _move(self, plus: int, minus: int) -> Move:
-        I, J = self.shape
-        full, shifts = (1 << J) - 1, range(0, I * J, J)
-        return tuple(map(self._row, map(full.__and__, map(plus.__rshift__, shifts)),
-                         map(full.__and__, map(minus.__rshift__, shifts))))
+        return _tables(*self.shape, self._row, self.plus, self.minus)
 
     def __eq__(self, other):
         if isinstance(other, MoveBasis):
@@ -264,7 +256,7 @@ def apply_move(table: Sequence[Sequence[int]], move: Move, sign: int = 1) -> Opt
         plus, minus = minus, plus
     if code & plus or code & minus != minus:
         return None
-    return _rows(code ^ plus ^ minus, I, J, _row_decoder(J))
+    return _rows(I, J, _row_decoder(J), code ^ plus ^ minus)
 
 
 def _check_weight(target: Callable[[Table], float], table: Table) -> float:
@@ -308,11 +300,12 @@ def walk_states(
     plus, minus = _basis_masks(basis, I, J)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     w_cur = _check_weight(target, cur) if target is not None else 1.0
-    return _walk(cur, code, w_cur, plus, minus, J, steps, rng, target)
+    return _walk(cur, code, plus, minus, J, steps, rng, _row_decoder(J), target, w_cur)
 
 
-def _walk(cur, code, w_cur, plus, minus, J, steps, rng, target) -> Iterator[Table]:
-    n, full, row = len(plus), (1 << J) - 1, _row_decoder(J)
+def _walk(cur, code, plus, minus, J, steps, rng, row, target=None, w_cur=1.0) -> Iterator[tuple]:
+    """States from cur, the rows of code as row reads them; the caller checks the arguments."""
+    n, full = len(plus), (1 << J) - 1
     randrange = rng.randrange
     for _ in range(steps):
         r = randrange(n)
@@ -414,24 +407,20 @@ def _fiber_codes(mA, mB, cap: int) -> Iterator[Iterable[int]]:
                       for m in reversed([need | x for x in xs])]
 
 
-def fiber_tables(mA, mB, cap: int = DEFAULT_CAP) -> Iterator[Table]:
-    """fiber_enumerate's tables one at a time; only the last 64 rows are
-    kept.  Margins are checked on the call, the cap before the first table."""
-    return _fiber_tables(mA, mB, cap, functools.lru_cache(64))
+def _fiber_stream(mA, mB, cap: int) -> tuple[int, int, Iterator[int]]:
+    """(I, J, codes): the fiber's shape and table codes in fiber_enumerate's
+    order; margins and cap are checked on the call, CapExceeded comes first."""
+    mA, mB = check_margins(mA, mB, 0)
+    check_cap(cap)
+    return len(mA), len(mB), itertools.chain.from_iterable(_fiber_codes(mA, mB, cap))
 
 
 def fiber_enumerate(mA, mB, cap: int = DEFAULT_CAP) -> list[Table]:
     """Every 0/1 table with row sums mA and column sums mB, row by row in
     itertools.combinations order; equal rows share one tuple.  Over cap
     tables by the exact count raise CapExceeded before any is built."""
-    return list(_fiber_tables(mA, mB, cap, functools.cache))
-
-
-def _fiber_tables(mA, mB, cap: int, keep: Callable) -> Iterator[Table]:
-    mA, mB = check_margins(mA, mB, 0)
-    check_cap(cap)
-    codes = itertools.chain.from_iterable(_fiber_codes(mA, mB, cap))
-    return _tables(codes, len(mA), len(mB), keep(_row_decoder(len(mB))))
+    I, J, codes = _fiber_stream(mA, mB, cap)
+    return list(_tables(I, J, functools.cache(_row_decoder(J)), codes))
 
 
 @dataclass(frozen=True)
@@ -458,13 +447,11 @@ def verify_connectivity(mA, mB, basis: Optional[Sequence[Move]] = None,
     tables.  The union-find runs over the tables' bit codes; no dense
     table is built.
     """
-    mA, mB = check_margins(mA, mB, 0)
-    check_cap(cap)
-    I, J = len(mA), len(mB)
+    I, J, codes = _fiber_stream(mA, mB, cap)
     if basis is None:
         basis = markov_basis(I, J, cap=cap) if min(I, J) > 1 else ()
     plus, minus = _basis_masks(basis, I, J)
-    codes = list(itertools.chain.from_iterable(_fiber_codes(mA, mB, cap)))
+    codes = list(codes)
     fiber, uf = set(codes), UnionFind()
     for c in codes:
         for up, down in zip(plus, minus):

@@ -124,6 +124,30 @@ def slow_render_grid(points, I, J, header=True):
     return f"{I} {J}\n{body}" if header else body
 
 
+def dense_table_text(table):
+    """The package's original grid text of a 0/1 table: one line of digits per row."""
+    return "".join("".join(map(str, row)) + "\n" for row in table)
+
+
+def dense_move_text(move):
+    """The package's original grid text of a move: one line of
+    space-separated entries per row."""
+    return "\n".join(" ".join(str(v) for v in row) for row in move) + "\n"
+
+
+def dense_grid_json(grid):
+    """The package's original JSON record of a table or move."""
+    return json.dumps([list(row) for row in grid])
+
+
+def dense_stream(grids, fmt, text):
+    """A table or move stream's stdout from dense grids: one JSON record a
+    line, or text(grid) blocks separated by one blank line."""
+    if fmt == "json":
+        return "".join(dense_grid_json(g) + "\n" for g in grids)
+    return "\n".join(text(g) for g in grids)
+
+
 def random_tree_fraction(I, J, rng):
     """A random spanning tree of K(I, J) as a sorted point set: one row and
     one column start it joined, then every other level, in shuffled

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output text, exit codes, determinism."""
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -11,8 +12,11 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import oracles
+from satfrac import design
 from satfrac.cli import main
 from satfrac.fileio import parse_fraction_text
+from satfrac.markov import circuit_to_move, circuits, fiber_enumerate, markov_basis, walk_states
 
 SCHEMA = json.loads(
     resources.files("satfrac").joinpath("report_schema.json").read_text()
@@ -517,6 +521,27 @@ GOLDEN_STREAMS = [
                   "--emit-every", "500", "--format", "grid"),
                  "78ad6599387e39b5c4dd8959caaa583519f3ad9534eb9fbfa40a37f9398e1f11",
                  id="walk-20x20-degree-2-grid"),
+    pytest.param(("walk", "--start", "@6", "--steps", "2000", "--seed", "4", "--emit-every", "1"),
+                 "d74e0fcb7009a5432eb935766e48f7873fe3b767de55b7ce53999166764882d9",
+                 id="walk-6x6-full-every-step-json"),
+    pytest.param(("walk", "--start", "@6", "--steps", "2000", "--seed", "4", "--emit-every", "1",
+                  "--format", "grid"),
+                 "e89fd920806ace790e2e5b7c1efa54022400f33deb8f479f2c77562f2f0f26ff",
+                 id="walk-6x6-full-every-step-grid"),
+    pytest.param(("walk", "--start", "@20", "--steps", "2000", "--seed", "4", "--max-degree", "2",
+                  "--emit-every", "1"),
+                 "cd2dce7df9ec603fd8e0e182dc54363d0f88857c36ffae8de4e86cd4006525c9",
+                 id="walk-20x20-degree-2-every-step-json"),
+    pytest.param(("walk", "--start", "@20", "--steps", "2000", "--seed", "4", "--max-degree", "2",
+                  "--emit-every", "1", "--format", "grid"),
+                 "c4bec3ef80f9795f617c2861a552783907308e5f4a1d003d8d0b666d033e64fa",
+                 id="walk-20x20-degree-2-every-step-grid"),
+    pytest.param(("fiber", "--margins", "3,2,2,1", "2,2,1,1,1,1"),
+                 "536b9a70ffa4eeb8c288180a01ae0010a84d1f885dee7c74afa5120a2fb8170a",
+                 id="fiber-4x6-json"),
+    pytest.param(("fiber", "--margins", "3,2,2,1", "2,2,1,1,1,1", "--format", "grid"),
+                 "b475713e36cf0f17b3732dc27abb602f51d76db94d7b90451b7c1d26794609fb",
+                 id="fiber-4x6-grid"),
 ]
 
 
@@ -651,3 +676,109 @@ def test_fiber_cap_counts_tables(capsys):
     code, out, err = run(capsys, "fiber", "--margins", "1" + ",0" * 999, "1")
     assert (code, err) == (0, "")
     assert json.loads(out) == [[1]] + [[0]] * 999
+
+
+def _stdout(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, ""), err
+    return out
+
+
+def _assert_same_text(out, want, where=""):
+    # pytest's diff of two megabyte streams takes minutes; name the first difference
+    if out != want:
+        k = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), min(len(out), len(want)))
+        at = slice(max(k - 60, 0), k + 60)
+        pytest.fail(f"{where} texts differ at character {k} of {len(out)} and {len(want)}: "
+                    f"{out[at]!r} vs {want[at]!r}")
+
+
+@pytest.mark.parametrize("fmt", ["json", "grid"])
+@pytest.mark.parametrize("mA, mB", [
+    ((3,), (1, 1, 0, 1)),  # one row
+    ((1, 0, 1), (2,)),  # one column
+    ((2, 2, 1), (2, 1, 1, 1)),
+    ((3, 2), (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)),  # rows wider than 8 columns
+])
+def test_fiber_stream_equals_the_dense_reference(capsys, fmt, mA, mB):
+    argv = ("fiber", "--margins", ",".join(map(str, mA)), ",".join(map(str, mB)), "--format", fmt)
+    want = oracles.dense_stream(oracles.brute_fiber(mA, mB), fmt, oracles.dense_table_text)
+    _assert_same_text(_stdout(capsys, *argv), want)
+
+
+@pytest.mark.parametrize("fmt", ["json", "grid"])
+def test_twenty_column_fiber_prefix_equals_the_dense_reference(monkeypatch, fmt):
+    # the tables of (10, 10) x (1,)*20 in order: row 1 takes each 10-column
+    # combination in itertools.combinations order, row 2 the other columns
+    class Enough(Exception):
+        pass
+
+    class Head(io.StringIO):
+        def write(self, text):
+            super().write(text)
+            if self.tell() > 50_000:
+                raise Enough
+
+    head = Head()
+    monkeypatch.setattr(sys, "stdout", head)
+    with pytest.raises(Enough):
+        main(["fiber", "--margins", "10,10", ",".join(["1"] * 20), "--format", fmt])
+    out = head.getvalue()
+    n = out.count("\n") if fmt == "json" else out.count("\n\n") + 1
+    tables = [(tuple(int(j in c) for j in range(20)), tuple(int(j not in c) for j in range(20)))
+              for c in itertools.islice(itertools.combinations(range(20), 10), n)]
+    assert n > 100
+    _assert_same_text(out, oracles.dense_stream(tables, fmt, oracles.dense_table_text))
+
+
+@pytest.mark.parametrize("fmt", ["json", "grid"])
+def test_basis_stream_equals_the_dense_reference(capsys, fmt):
+    for I in range(2, 6):
+        for J in range(2, 7):
+            moves = [circuit_to_move(c, I, J) for k in range(2, min(I, J) + 1)
+                     for c in circuits(I, J, k)]
+            out = _stdout(capsys, "basis", "--I", str(I), "--J", str(J), "--format", fmt)
+            want = oracles.dense_stream(moves, fmt, oracles.dense_move_text)
+            _assert_same_text(out, want, (I, J))
+
+
+@pytest.mark.parametrize("fmt", ["json", "grid"])
+@pytest.mark.parametrize("I, J, max_degree, steps", [(3, 4, None, 3000), (6, 6, None, 3000),
+                                                     (20, 20, 2, 2000)])
+def test_walk_every_state_equals_the_dense_reference(capsys, tmp_path, fmt, I, J, max_degree,
+                                                      steps):
+    start = tuple(tuple(int((j - i) % J < J // 2) for j in range(J)) for i in range(I))
+    f = tmp_path / "start.grid"
+    f.write_text(oracles.dense_table_text(start))
+    degree = () if max_degree is None else ("--max-degree", str(max_degree))
+    out = _stdout(capsys, "walk", "--start", str(f), "--steps", str(steps), "--seed", "8",
+                  "--emit-every", "1", "--format", fmt, *degree)
+    states = list(walk_states(start, markov_basis(I, J, max_degree), steps, 8))
+    assert len(set(states)) > 10
+    _assert_same_text(out, oracles.dense_stream(states, fmt, oracles.dense_table_text))
+
+
+def test_stream_verbs_decode_no_row_tuple(capsys, tmp_path, monkeypatch):
+    # fiber, basis and walk render the codes as text; a row tuple decoded
+    # on their way fails here
+    def no_tuples(J):
+        def row(*masks):
+            raise AssertionError("a row tuple was decoded")
+        return row
+
+    decoder = design._row_decoder
+    for name, module in list(sys.modules.items()):
+        if name.startswith("satfrac") and getattr(module, "_row_decoder", None) is decoder:
+            monkeypatch.setattr(module, "_row_decoder", no_tuples)
+    with pytest.raises(AssertionError, match="row tuple"):
+        fiber_enumerate((1, 1), (1, 1))
+    with pytest.raises(AssertionError, match="row tuple"):
+        markov_basis(2, 3)[0]
+    f = tmp_path / "start.grid"
+    f.write_text("111000\n011100\n001110\n000111\n100011\n110001\n")
+    for argv in (("fiber", "--margins", "3,3,2,2,1,1", "2,2,2,2,2,2"),
+                 ("basis", "--I", "4", "--J", "5"),
+                 ("walk", "--start", str(f), "--steps", "500", "--seed", "1",
+                  "--emit-every", "1")):
+        for fmt in ("json", "grid"):
+            assert _stdout(capsys, *argv, "--format", fmt)

@@ -244,8 +244,12 @@ def test_the_codec_sets_bit_i_times_J_plus_j_for_cell_i_j():
                 for v in (1, -1)]
         assert design._encode(move, "move", (0, 1, -1)) == (I, J, want)
         row = design._row_decoder(J)
-        plus, minus = (design._rows(m, I, J, row) for m in want)
+        plus, minus = (design._rows(I, J, row, m) for m in want)
         assert tuple(tuple(p - m for p, m in zip(*rows)) for rows in zip(plus, minus)) == move
+        # the plus and minus masks read side by side by one signed row function
+        signed = lambda p, m: tuple(a - b for a, b in zip(row(p), row(m)))
+        assert design._rows(I, J, signed, *want) == move
+        assert list(design._tables(I, J, signed, *([m] * 3 for m in want))) == [move] * 3
     assert design._encode(((0, 1, 0), (0, 0, 0)), "table") == (2, 3, [2])
-    assert design._rows(2 | 1 << 5, 2, 3, design._row_decoder(3)) == ((0, 1, 0), (0, 0, 1))
+    assert design._rows(2, 3, design._row_decoder(3), 2 | 1 << 5) == ((0, 1, 0), (0, 0, 1))
     assert design._row_decoder(3) is design._row_decoder(3)  # one decoder per width

@@ -207,6 +207,27 @@ def test_renderers_match_slow_routes_on_random_subsets():
 
 def test_render_signed_table():
     assert render_signed_table(((1, -1), (-1, 1))) == "1 -1\n-1 1\n"
+    assert render_signed_table([[0, 1, -1]]) == "0 1 -1\n"
+    rng = random.Random(2)
+    for _ in range(200):
+        I, J = rng.randint(1, 12), rng.randint(1, 12)
+        move = tuple(tuple(rng.choice((-1, 0, 1)) for _ in range(J)) for _ in range(I))
+        assert render_signed_table(move) == oracles.dense_move_text(move)
+
+
+@pytest.mark.parametrize("move, message", [
+    (((1, -2), (-1, 1)), "move entries must be ints in {-1, 0, 1}: -2 at row 1, column 2"),
+    (((1, -1), (-1, True)), "move entries must be ints in {-1, 0, 1}: True at row 2, column 2"),
+    (((1, -1), (-1, 1.0)), "move entries must be ints in {-1, 0, 1}: 1.0 at row 2, column 2"),
+    (((1, -1), (-1,)), "move is ragged: row 2 has 1 entries, expected 2"),
+    ((1, -1), "move is not a sequence of rows"),
+    ((), "move is 0 x 0: it has no cells"),
+    (((),), "move is 1 x 0: it has no cells"),
+])
+def test_render_signed_table_refuses_what_the_encoder_refuses(move, message):
+    with pytest.raises(ValueError) as exc:
+        render_signed_table(move)
+    assert str(exc.value) == message
 
 
 @st.composite

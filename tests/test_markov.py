@@ -340,14 +340,18 @@ def test_fiber_cap():
         fiber_enumerate((3, 3, 3, 3), (3, 3, 3, 3), cap=5)
 
 
-def test_fiber_tables_check_margins_on_the_call_and_the_cap_before_the_first_table():
+def test_fiber_stream_checks_margins_on_the_call_and_the_cap_before_the_first_code():
     with pytest.raises(ValueError, match="margin sums differ"):
-        markov.fiber_tables((2, 1), (1, 1))
-    tables = markov.fiber_tables((3, 3, 3, 3), (3, 3, 3, 3), cap=5)
+        markov._fiber_stream((2, 1), (1, 1), 5)
+    _, _, codes = markov._fiber_stream((3, 3, 3, 3), (3, 3, 3, 3), cap=5)
     with pytest.raises(CapExceeded, match="more than the cap of 5 tables"):
-        next(tables)
-    tables = markov.fiber_tables((3, 1, 2), (3, 1, 1, 1))
-    assert list(tables) == fiber_enumerate((3, 1, 2), (3, 1, 1, 1))
+        next(codes)
+    I, J, codes = markov._fiber_stream((3, 1, 2), (3, 1, 1, 1), cap=3)
+    assert (I, J) == (3, 4)
+    # bit i*J + j of a code is cell (i, j), 0-based
+    tables = [tuple(tuple(c >> i * J + j & 1 for j in range(J)) for i in range(I)) for c in codes]
+    assert tables == fiber_enumerate((3, 1, 2), (3, 1, 1, 1))
+    assert tables == oracles.brute_fiber((3, 1, 2), (3, 1, 1, 1))
 
 
 def _all_fibers(I, J, sorted_only=False):
@@ -583,7 +587,7 @@ INT_ARGUMENTS = [
     pytest.param(lambda x: enumerate_saturated(2, 2, cap=x), 1e7, id="enumerate_saturated-cap"),
     pytest.param(lambda x: enumerate_saturated(2, 2, cap=x), "x", id="enumerate_saturated-cap-str"),
     pytest.param(lambda x: markov_basis(2, 2, cap=x), True, id="markov_basis-cap"),
-    pytest.param(lambda x: markov.fiber_tables((1, 1), (1, 1), cap=x), 2.5, id="fiber_tables-cap"),
+    pytest.param(lambda x: markov._fiber_stream((1, 1), (1, 1), cap=x), 2.5, id="fiber_stream-cap"),
     pytest.param(lambda x: fiber_enumerate((1, 1), (1, 1), cap=x), None, id="fiber_enumerate-cap"),
     pytest.param(lambda x: verify_connectivity((1, 1), (1, 1), cap=x), 2.0,
                  id="verify_connectivity-cap"),
