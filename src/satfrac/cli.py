@@ -22,11 +22,12 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import os
 import random
 import sys
 
-from .design import DEFAULT_CAP, CapExceeded, _mask, _rows, _tables, check_margins
+from .design import DEFAULT_CAP, CapExceeded, _mask, _tables, check_margins
 from .linalg import (
     full_model_matrix,
     integer_determinant,
@@ -41,7 +42,7 @@ from .saturation import (
     generate_with_margins,
     sample_uniform_saturated,
 )
-from .markov import _fiber_stream, _walk, markov_basis, verify_connectivity
+from .markov import _fiber_stream, _walk_from, markov_basis, verify_connectivity
 from .fileio import (
     ParseError,
     _text_form,
@@ -85,15 +86,15 @@ def _size_or_margins(args):
 
 
 def _stream(texts, fmt: str) -> int:
-    """Write the records' texts 64 at a time: JSON records one per line,
+    """Write each record's text as it comes: JSON records one per line,
     grid blocks (each ending in a newline) with one blank line between."""
-    write, sep = sys.stdout.write, ""
-    while chunk := list(itertools.islice(texts, 64)):
-        if fmt == "grid":
-            write(sep + "\n".join(chunk))
-            sep = "\n"
-        else:
-            write("\n".join(chunk) + "\n")
+    if fmt == "grid":  # a blank line before every block but the first
+        texts = itertools.chain(itertools.islice(texts, 1), map("\n".__add__, texts))
+    else:
+        texts = map(operator.add, texts, itertools.repeat("\n"))
+    write = sys.stdout.write
+    for text in texts:
+        write(text)
     return 0
 
 
@@ -200,11 +201,8 @@ def cmd_walk(args) -> int:
         raise ParseError("--steps must be at least 0")
     points, I, J = parse_fraction_file(args.start)
     basis = markov_basis(I, J, max_degree=args.max_degree, cap=args.cap)
-    # the chain steps on codes and keeps each state as its rows' texts
-    row, join = _text_form(args.format, J)
-    code, rng = _mask(points, J), random.Random(args.seed)
-    start = _rows(I, J, row, code)
-    states = _walk(start, code, basis.plus, basis.minus, J, args.steps, rng, row)
+    row, join = _text_form(args.format, J)  # each state is kept as its rows' texts
+    start, states = _walk_from(_mask(points, J), I, J, basis, args.steps, args.seed, row)
 
     def emitted():  # every M-th state, then the final one unless it was just emitted
         state, shown = start, False

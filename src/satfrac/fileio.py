@@ -167,16 +167,15 @@ def render_signed_table(table: Table) -> str:
 def _text_form(fmt: str, J: int, signed: bool = False) -> tuple[Callable[..., str], Callable]:
     """(row, join) for grids of width J in fmt: a row's text from its J-bit
     slice, bit 0 first (a move row's from its plus and minus slices), and a
-    grid's from its rows'.  Row texts are memoised where they are few: a
-    move's row holds one 1 and one -1 or none, and a table's rows number
-    at most 2**8 up to width 8; a wider fiber streams in constant memory."""
+    grid's from its rows'.  Move row texts are memoised: a move's row holds
+    one 1 and one -1 or none, so there are at most J*(J-1) + 1 of them."""
     spec, sep = f"0{J}b", ", " if fmt == "json" else " " if signed else ""
     if signed:
-        row = lambda p, m: sep.join(["-1" if b == "1" else a for a, b in
-                                     zip(format(p, spec)[::-1], format(m, spec)[::-1])])
+        row = functools.cache(lambda p, m: sep.join(
+            ["-1" if b == "1" else a for a, b in zip(format(p, spec)[::-1], format(m, spec)[::-1])]))
     else:
         row = lambda mask: sep.join(format(mask, spec)[::-1])
-    return functools.cache(row) if signed or J <= 8 else row, _JOIN[fmt]
+    return row, _JOIN[fmt]
 
 
 _JOIN = {"grid": lambda rows: "\n".join(rows) + "\n",

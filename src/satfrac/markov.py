@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cycles import UnionFind
-from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _mask, _row_decoder, _rows,
-                     _tables, check_cap, check_margins, check_size, table_margins)
+from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _row_decoder, _rows, _tables,
+                     check_cap, check_margins, check_size, table_margins)
 
 Move = Table  # I x J integer grid, entries in {-1, 0, +1}
 
@@ -87,8 +87,10 @@ def circuit_to_move(circuit: Circuit, I: int, J: int) -> Move:
     check_size(I, J)
     if max(circuit.rows) > I or max(circuit.cols) > J:
         raise ValueError(f"circuit does not fit a {I} x {J} grid")
-    edges = circuit.edge_sequence()
-    return MoveBasis((I, J), [_mask(edges[0::2], J)], [_mask(edges[1::2], J)])[0]
+    grid = [[0] * J for _ in range(I)]
+    for t, (i, j) in enumerate(circuit.edge_sequence()):
+        grid[i - 1][j - 1] = -1 if t % 2 else 1
+    return tuple(tuple(row) for row in grid)
 
 
 def _circuit_walks(I: int, J: int, k: int) -> Iterator[tuple[tuple[int, ...], list]]:
@@ -290,21 +292,28 @@ def walk_states(
     An accepted state is a new tuple whose rows the move did not touch
     are the previous state's row tuples, the start's own rows included.
     """
+    I, J, (code,) = _encode(start, "start")
+    check_size(I, J)
+    cur = tuple(map(tuple, start))
+    return _walk_from(code, I, J, basis, steps, seed, _row_decoder(J), cur, target)[1]
+
+
+def _walk_from(code, I, J, basis, steps, seed, row, cur=None, target=None):
+    """(start, states) of the chain from the mask code on an I x J grid, each
+    state's rows as row reads them; cur, when given, is the start's rows.
+    The basis, steps and the start's weight are checked on the call."""
     if not basis:
         raise ValueError("empty move basis")
     if type(steps) is not int or steps < 0:
         raise ValueError(f"steps must be an int >= 0, got {steps!r}")
-    I, J, (code,) = _encode(start, "start")
-    check_size(I, J)
-    cur = tuple(map(tuple, start))
     plus, minus = _basis_masks(basis, I, J)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    cur = _rows(I, J, row, code) if cur is None else cur
     w_cur = _check_weight(target, cur) if target is not None else 1.0
-    return _walk(cur, code, plus, minus, J, steps, rng, _row_decoder(J), target, w_cur)
+    return cur, _walk(cur, code, w_cur, plus, minus, J, steps, rng, target, row)
 
 
-def _walk(cur, code, plus, minus, J, steps, rng, row, target=None, w_cur=1.0) -> Iterator[tuple]:
-    """States from cur, the rows of code as row reads them; the caller checks the arguments."""
+def _walk(cur, code, w_cur, plus, minus, J, steps, rng, target, row) -> Iterator[tuple]:
     n, full = len(plus), (1 << J) - 1
     randrange = rng.randrange
     for _ in range(steps):

@@ -16,7 +16,9 @@ import oracles
 from satfrac import design
 from satfrac.cli import main
 from satfrac.fileio import parse_fraction_text
-from satfrac.markov import circuit_to_move, circuits, fiber_enumerate, markov_basis, walk_states
+from satfrac.markov import (basis_size, circuit_to_move, circuits, fiber_enumerate, markov_basis,
+                            walk_states)
+from satfrac.saturation import count_saturated
 
 SCHEMA = json.loads(
     resources.files("satfrac").joinpath("report_schema.json").read_text()
@@ -782,3 +784,32 @@ def test_stream_verbs_decode_no_row_tuple(capsys, tmp_path, monkeypatch):
                   "--emit-every", "1")):
         for fmt in ("json", "grid"):
             assert _stdout(capsys, *argv, "--format", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "grid"])
+def test_stream_verbs_write_each_record_as_it_is_made(monkeypatch, tmp_path, fmt):
+    # one write a record: nothing is held back, so a slow walk shows each state when it is made
+    class Writes:
+        def __init__(self):
+            self.texts = []
+
+        def write(self, text):
+            self.texts.append(text)
+
+    f = tmp_path / "start.grid"
+    f.write_text("1100\n0110\n0011\n1001\n")
+    for argv, n in ((("walk", "--start", str(f), "--steps", "70", "--seed", "2",
+                      "--emit-every", "1"), 70),
+                    (("fiber", "--margins", "2,2,2,2", "2,2,2,2"), 90),
+                    (("basis", "--I", "4", "--J", "4"), basis_size(4, 4)),
+                    (("enumerate", "--I", "3", "--J", "3"), count_saturated(3, 3))):
+        out = Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main([*argv, "--format", fmt]) == 0
+        assert len(out.texts) == n
+        if fmt == "json":
+            assert all(t.count("\n") == 1 and t.endswith("\n") for t in out.texts)
+        else:  # a blank line before every block but the first
+            assert all(t[0] == "\n" for t in out.texts[1:])
+            blocks = out.texts[:1] + [t[1:] for t in out.texts[1:]]
+            assert all(b.endswith("\n") and "\n\n" not in b for b in blocks)
