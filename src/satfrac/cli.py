@@ -203,17 +203,9 @@ def cmd_walk(args) -> int:
     basis = markov_basis(I, J, max_degree=args.max_degree, cap=args.cap)
     row, join = _text_form(args.format, J)  # each state is kept as its rows' texts
     start, states = _walk_from(_mask(points, J), I, J, basis, args.steps, args.seed, row)
-
-    def emitted():  # every M-th state, then the final one unless it was just emitted
-        state, shown = start, False
-        for step, state in enumerate(states, 1):
-            shown = every is not None and step % every == 0
-            if shown:
-                yield state
-        if not shown:
-            yield state
-
-    return _stream(map(join, emitted()), args.format)
+    # every M-th state and the final one; the start alone when no step is taken
+    emitted = (s for n, s in enumerate(states, 1) if n == args.steps or every and n % every == 0)
+    return _stream(map(join, emitted if args.steps else [start]), args.format)
 
 
 def cmd_fiber(args) -> int:

@@ -460,11 +460,10 @@ def verify_connectivity(mA, mB, basis: Optional[Sequence[Move]] = None,
     if basis is None:
         basis = markov_basis(I, J, cap=cap) if min(I, J) > 1 else ()
     plus, minus = _basis_masks(basis, I, J)
-    codes = list(codes)
     fiber, uf = set(codes), UnionFind()
-    for c in codes:
+    for c in fiber:
         for up, down in zip(plus, minus):
             if c & up == 0 and c & down == down and c ^ up ^ down in fiber:
                 uf.union(c, c ^ up ^ down)
-    components = len({uf.find(c) for c in codes})
-    return FiberReport(len(codes), components, components <= 1)
+    components = len({uf.find(c) for c in fiber})
+    return FiberReport(len(fiber), components, components <= 1)

@@ -14,11 +14,12 @@ plus its count in the code.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Rational
+from functools import partial
+from itertools import product
 from typing import Iterable, Iterator
 
 from .cycles import contains_cycle
@@ -100,15 +101,16 @@ def generate_with_margins(mA: Iterable[int], mB: Iterable[int]) -> Iterator[Poin
     """
     mA, mB = _check_margin_vectors(mA, mB)
     I, J = len(mA), len(mB)
-    row_counts = [a - 1 for a in mA]
-    col_counts = [b - 1 for b in mB]
+    rows = _arrangements([a - 1 for a in mA])
+    return _trees(rows, partial(_arrangements, [b - 1 for b in mB]), I, J)
 
-    def stream() -> Iterator[Points]:
-        for acode in _arrangements(row_counts):
-            for bcode in _arrangements(col_counts):
-                yield _decode_tree(acode, bcode, I, J)
 
-    return stream()
+def _trees(acodes, bcodes, I: int, J: int) -> Iterator[Points]:
+    """Decode every row code of acodes against every column code of the
+    fresh iterable bcodes() returns, row code outermost."""
+    for acode in acodes:
+        for bcode in bcodes():
+            yield _decode_tree(acode, bcode, I, J)
 
 
 def _decode_tree(acode, bcode, I: int, J: int) -> Points:
@@ -164,13 +166,8 @@ def enumerate_saturated(I: int, J: int, cap: int = DEFAULT_CAP) -> Iterator[Poin
     total = count_saturated(I, J)
     if total > cap:
         raise CapExceeded(f"{total} saturated fractions exceed the cap of {cap}")
-
-    def stream() -> Iterator[Points]:
-        for acode in itertools.product(range(1, I + 1), repeat=J - 1):
-            for bcode in itertools.product(range(1, J + 1), repeat=I - 1):
-                yield _decode_tree(acode, bcode, I, J)
-
-    return stream()
+    rows = product(range(1, I + 1), repeat=J - 1)
+    return _trees(rows, partial(product, range(1, J + 1), repeat=I - 1), I, J)
 
 
 def sample_uniform_saturated(I: int, J: int, seed) -> Points:
@@ -226,14 +223,7 @@ def check_margin_lemma(points: Iterable[Point], I: int, J: int) -> MarginLemmaRe
     f = fraction(points, I, J)
     mA, mB = margins(f, I, J)
     p = I + J - 1
-    heavy = [False] * (J + 1)
-    for j in range(1, J + 1):
-        heavy[j] = mB[j - 1] >= 2
-    unit_rows_ok = all(
-        heavy[j]
-        for i, j in f
-        if mA[i - 1] == 1
-    )
+    unit_rows_ok = all(mB[j - 1] >= 2 for i, j in f if mA[i - 1] == 1)
     return MarginLemmaReport(
         square=(I == J),
         saturated=is_saturated(f, I, J),

@@ -196,6 +196,23 @@ def is_tree_fraction(points, I, J):
     return component_count(points) == 1
 
 
+def margin_conditions(points, I, J):
+    """The margin lemma's four conditions, read off the points one level
+    at a time: I+J-1 points, every row and column used, some row and
+    some column used once, and each once-used row's point lying in a
+    column used at least twice."""
+    rows = {r: [q for q in points if q[0] == r] for r in range(1, I + 1)}
+    cols = {c: [q for q in points if q[1] == c] for c in range(1, J + 1)}
+    counts = [len(v) for v in rows.values()] + [len(v) for v in cols.values()]
+    lone = [rows[r][0] for r in rows if len(rows[r]) == 1]
+    return (
+        len(points) == I + J - 1,
+        0 not in counts,
+        any(len(v) == 1 for v in rows.values()) and any(len(v) == 1 for v in cols.values()),
+        all(len(cols[j]) > 1 for _, j in lone),
+    )
+
+
 def heap_decode_tree(acode, bcode, I, J):
     """The package's original tree decoder: a spanning tree of K(I, J)
     from a (row code, column code) pair, with a heap of current leaves.

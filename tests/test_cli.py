@@ -544,6 +544,22 @@ GOLDEN_STREAMS = [
     pytest.param(("fiber", "--margins", "3,2,2,1", "2,2,1,1,1,1", "--format", "grid"),
                  "b475713e36cf0f17b3732dc27abb602f51d76db94d7b90451b7c1d26794609fb",
                  id="fiber-4x6-grid"),
+    # the basis and fiber digests pinned in the CI workflow
+    pytest.param(("basis", "--I", "4", "--J", "5", "--format", "json"),
+                 "4daa8a2910edd6c4943f19f73f49240df863216357205185896e9d3652a056dc",
+                 id="basis-4x5-json"),
+    pytest.param(("basis", "--I", "4", "--J", "5", "--format", "grid"),
+                 "b03de7791a9957173e4a333c67baa990db470f98c7dab7870d307bbb3fad8357",
+                 id="basis-4x5-grid"),
+    pytest.param(("fiber", "--margins", "3,3,2,2,1,1", "2,2,2,2,2,2", "--format", "json"),
+                 "3fdd87aec8e114d1d6744a5acacb8b7222116eab5109ba0db945781f795b161b",
+                 id="fiber-6x6-json"),
+    pytest.param(("fiber", "--margins", "3,3,2,2,1,1", "2,2,2,2,2,2", "--format", "grid"),
+                 "e9d9ff7d917eec87b2c3d7434abddc6045c90d9ce685df031b8395917cdc926a",
+                 id="fiber-6x6-grid"),
+    pytest.param(("fiber", "--margins", "3,3,3", "1,1,1,1,1,1,1,1,1", "--format", "json"),
+                 "0070c1a650b95b9bac6536cad578c8e42bc38767ee67514c4104fee3734766db",
+                 id="fiber-3x9-json"),
 ]
 
 
@@ -563,6 +579,17 @@ def test_golden_stream_digest(capsys, tmp_path, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sampled_start_walk_digest(capsys, monkeypatch):
+    # the CI pipe: sample --format grid | walk --start -
+    sample = _stdout(capsys, "sample", "--I", "20", "--J", "20", "--count", "1", "--seed", "3",
+                     "--format", "grid")
+    monkeypatch.setattr("sys.stdin", io.StringIO(sample))
+    out = _stdout(capsys, "walk", "--start", "-", "--steps", "20000", "--seed", "1",
+                  "--max-degree", "2", "--emit-every", "500")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "53e5e649921bafe314effc9903ee7f281333dfb4262ef8b60f847f53839f9f7c")
 
 
 def test_walk_over_cap_names_the_swap_basis(capsys, tmp_path):
@@ -758,6 +785,26 @@ def test_walk_every_state_equals_the_dense_reference(capsys, tmp_path, fmt, I, J
     states = list(walk_states(start, markov_basis(I, J, max_degree), steps, 8))
     assert len(set(states)) > 10
     _assert_same_text(out, oracles.dense_stream(states, fmt, oracles.dense_table_text))
+
+
+@pytest.mark.parametrize("fmt", ["json", "grid"])
+def test_walk_emits_every_mth_state_and_the_final_one_once(capsys, tmp_path, fmt):
+    start = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))
+    f = tmp_path / "start.grid"
+    f.write_text(oracles.dense_table_text(start))
+    basis = markov_basis(3, 4)
+    for steps in (0, 1, 24, 25, 75, 76):
+        states = [start, *walk_states(start, basis, steps, 3)]  # states[n]: after n steps
+        assert steps < 24 or len(set(states)) > 2
+        for every in (None, 1, 2, 25):
+            picked = list(range(every, steps + 1, every)) if every else []
+            if picked[-1:] != [steps]:
+                picked.append(steps)  # the final state, or the start when steps is 0
+            want = oracles.dense_stream([states[n] for n in picked], fmt, oracles.dense_table_text)
+            every_arg = () if every is None else ("--emit-every", str(every))
+            out = _stdout(capsys, "walk", "--start", str(f), "--steps", str(steps), "--seed", "3",
+                          "--format", fmt, *every_arg)
+            assert out == want, (steps, every)
 
 
 def test_stream_verbs_decode_no_row_tuple(capsys, tmp_path, monkeypatch):

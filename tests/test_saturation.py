@@ -229,6 +229,29 @@ def test_margin_lemma_cross():
     assert report.mA == (3, 1, 1) and report.mB == (3, 1, 1)
 
 
+@pytest.mark.parametrize("I, J, sizes", [(3, 3, (126, 126)), (3, 4, (792, 924))])
+def test_margin_lemma_equals_the_direct_oracle(I, J, sizes):
+    # every subset of I+J-2 and I+J-1 cells, so sums_match is false on some
+    grid = list(itertools.product(range(1, I + 1), range(1, J + 1)))
+    for p, size in zip((I + J - 2, I + J - 1), sizes):
+        subsets = list(itertools.combinations(grid, p))
+        assert len(subsets) == size
+        seen = set()
+        for f in subsets:
+            got = check_margin_lemma(f, I, J).conditions
+            assert got == oracles.margin_conditions(f, I, J), f
+            seen.add(got)
+        # each of the last three conditions fails on some subset
+        assert all(any(not c[k] for c in seen) for k in range(1, 4)), seen
+
+
+def test_margin_lemma_only_unit_rows_in_heavy_columns_fails():
+    # row 1's lone point sits in column 1, which is also used once
+    report = check_margin_lemma([(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)], 3, 3)
+    assert report.conditions == (True, True, True, False)
+    assert not report.all_pass
+
+
 def test_margin_lemma_is_not_sufficient():
     report = check_margin_lemma(LOOKS_FINE_55, 5, 5)
     assert report.all_pass
