@@ -27,7 +27,7 @@ import os
 import random
 import sys
 
-from .design import DEFAULT_CAP, CapExceeded, _mask, _tables, check_margins
+from .design import DEFAULT_CAP, CapExceeded, _mask, _tables, check_margins, check_size
 from .linalg import (
     full_model_matrix,
     integer_determinant,
@@ -35,22 +35,10 @@ from .linalg import (
     model_matrix,
 )
 from .cycles import decompose_cycle, find_cycle
-from .saturation import (
-    count_saturated,
-    count_with_margins,
-    enumerate_saturated,
-    generate_with_margins,
-    sample_uniform_saturated,
-)
+from .saturation import (_all_cells, _margin_cells, _sample_cells, count_saturated,
+                         count_with_margins)
 from .markov import _fiber_stream, _walk_from, markov_basis, verify_connectivity
-from .fileio import (
-    ParseError,
-    _text_form,
-    parse_fraction_file,
-    parse_margin_vector,
-    render_grid,
-    render_json,
-)
+from .fileio import ParseError, _fraction_text, _text_form, parse_fraction_file, parse_margin_vector
 
 
 def _report(args, ok: bool, payload: dict, human: str, notes: list[str] | None = None) -> int:
@@ -145,29 +133,38 @@ def cmd_det(args) -> int:
 def cmd_count(args) -> int:
     I, J, margins = _size_or_margins(args)
     n = count_saturated(I, J) if margins is None else count_with_margins(*margins)
-    return _report(args, True, {"count": n}, str(n))
+    # An exact count can pass the interpreter's limit on int-to-text digits
+    # (4300 by default; 0 means none, and Pythons before 3.10.7 have none):
+    # lift it for this output only.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _report(args, True, {"count": n}, str(n))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def cmd_enumerate(args) -> int:
     I, J, margins = _size_or_margins(args)
     if margins is None:
-        fractions = enumerate_saturated(I, J, cap=args.cap)
+        trees = _all_cells(I, J, args.cap)
     else:
         total = count_with_margins(*margins)
         if total > args.cap:
             raise CapExceeded(f"{total} saturated fractions exceed the cap of {args.cap}")
-        fractions = generate_with_margins(*margins)
-    render = render_grid if args.format == "grid" else render_json
-    return _stream(map(render, fractions, itertools.repeat(I), itertools.repeat(J)), args.format)
+        trees = _margin_cells(*margins)
+    return _stream(map(_fraction_text(args.format, I, J), trees), args.format)
 
 
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise ParseError("--count must be at least 1")
     I, J, rng = args.I, args.J, random.Random(args.seed)
-    draws = (sample_uniform_saturated(I, J, rng) for _ in range(args.count))
-    render = render_grid if args.format == "grid" else render_json
-    return _stream(map(render, draws, itertools.repeat(I), itertools.repeat(J)), args.format)
+    check_size(I, J)  # before _fraction_text sizes its grid template
+    draws = (_sample_cells(I, J, rng) for _ in range(args.count))
+    return _stream(map(_fraction_text(args.format, I, J), draws), args.format)
 
 
 def cmd_decompose(args) -> int:

@@ -6,11 +6,15 @@ int, "J": int, "points": [[i, j], ...]} with 1-based coordinates, one
 object per line when streamed.  The format of an input is auto-detected:
 a first non-whitespace '{' means JSON.
 
-One render path: render_json and render_grid validate their points
-through design.fraction and build the text directly.  A JSON record is
-byte-for-byte what json.dumps({"I": I, "J": J, "points": ...}) gives.
-Tables and moves render from their masks, row by row (_text_form), as
-grid lines or as the JSON list of rows that json.dumps writes.
+One render path per format: _fraction_text builds a fraction's record
+from its sorted cell indices (i-1)*J + (j-1), the numbering of design's
+masks and of saturation's decoder.  The CLI streams the decoder's cells
+through it with no point built and nothing re-checked; render_json and
+render_grid validate their points through design.fraction, number them
+and call the same builder.  A JSON record is byte-for-byte what
+json.dumps({"I": I, "J": J, "points": ...}) gives.  Tables and moves
+render from their masks, row by row (_text_form), as grid lines or as
+the JSON list of rows that json.dumps writes.
 """
 from __future__ import annotations
 
@@ -140,18 +144,63 @@ def parse_margin_vector(text: str) -> tuple[int, ...]:
 
 def render_grid(points: Iterable[Point], I: int, J: int, header: bool = True) -> str:
     """Grid text of a fraction, newline-terminated, header included by default."""
-    f = fraction(points, I, J)
-    grid = bytearray(b"0" * J + b"\n") * I
-    for i, j in f:
-        grid[(i - 1) * (J + 1) + j - 1] = 49  # ord("1")
-    body = grid.decode()
-    return f"{I} {J}\n{body}" if header else body
+    cells = _cells(points, I, J)
+    text = _fraction_text("grid", I, J)(cells)
+    return text if header else text.partition("\n")[2]
 
 
 def render_json(points: Iterable[Point], I: int, J: int) -> str:
     """One-line JSON object for a fraction, byte-identical to json.dumps."""
-    f = fraction(points, I, J)
-    return '{"I": %d, "J": %d, "points": [%s]}' % (I, J, ", ".join(map("[%d, %d]".__mod__, f)))
+    cells = _cells(points, I, J)
+    return _fraction_text("json", I, J)(cells)
+
+
+def _cells(points: Iterable[Point], I: int, J: int) -> list[int]:
+    """The sorted cell indices of a fraction, checked by design.fraction;
+    the renderers call it first, so a bad size is refused before
+    _fraction_text sizes its text."""
+    return [(i - 1) * J + j - 1 for i, j in fraction(points, I, J)]
+
+
+def _fraction_text(fmt: str, I: int, J: int) -> Callable[[list[int]], str]:
+    """The record text in fmt of an I x J fraction from its sorted cell
+    indices: a grid with its "I J" header, or the JSON object.  A grid
+    fills a copy of one all-zero template.  A JSON record joins per-cell
+    texts, each made when its cell is first emitted and kept up to a
+    bound (_CellTexts), so no stream holds a table of I*J texts."""
+    if fmt == "grid":
+        head = b"%d %d\n" % (I, J)
+        zeros = bytearray(head + (b"0" * J + b"\n") * I)
+        at = len(head)
+
+        def text(cells):
+            grid = zeros[:]
+            for k in cells:
+                grid[at + k + k // J] = 49  # ord("1"); a grid line holds J+1 bytes
+            return grid.decode()
+        return text
+    cell_text = _CellTexts(J).__getitem__
+    head = '{"I": %d, "J": %d, "points": [' % (I, J)
+    return lambda cells: head + ", ".join(map(cell_text, cells)) + "]}"
+
+
+class _CellTexts(dict):
+    """Cell index -> its JSON point text "[i, j]", made on first lookup and
+    kept for the first _KEPT_CELLS cells.  Many draws from a large grid
+    emit most of its cells: kept without bound, the texts of 200,000
+    cells of 1000 x 1000 took 31 MB under tracemalloc."""
+
+    def __init__(self, J: int):
+        self.J = J
+
+    def __missing__(self, k: int) -> str:
+        text = "[%d, %d]" % (k // self.J + 1, k % self.J + 1)
+        if len(self) < _KEPT_CELLS:
+            self[k] = text
+        return text
+
+
+_KEPT_CELLS = 1 << 16
 
 
 def render_signed_table(table: Table) -> str:

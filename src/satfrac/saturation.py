@@ -10,7 +10,13 @@ through independent routes and cross-checked in the tests.
 One code-pair decoder, _decode_tree, maps each (row code, column code)
 pair bijectively to a spanning tree.  Counting, enumeration, margin
 generation and uniform sampling all rest on it: a level's margin is one
-plus its count in the code.
+plus its count in the code.  The decoder returns a tree as its sorted
+cell indices k = (i-1)*J + (j-1), design's bit numbering, whose order is
+the lexicographic point order.  The private cell streams (_all_cells,
+_margin_cells, _sample_cells) run every size, cap and margin check when
+called and yield those cell lists; the CLI renders them as text without
+building a point.  The public generators are their edges: each maps the
+cells to points.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as Rational
 from functools import partial
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, Iterator
 
 from .cycles import contains_cycle
@@ -99,13 +105,64 @@ def generate_with_margins(mA: Iterable[int], mB: Iterable[int]) -> Iterator[Poin
     code holds column j mB[j]-1 times.  Both codes run in lexicographic
     order: the stream is enumerate_saturated's, restricted to the margins.
     """
+    mA, mB = tuple(mA), tuple(mB)
+    return map(_points, _margin_cells(mA, mB), repeat(len(mB)))
+
+
+def enumerate_saturated(I: int, J: int, cap: int = DEFAULT_CAP) -> Iterator[Points]:
+    """Stream every saturated fraction of the I x J grid exactly once.
+
+    Runs over all spanning-tree codes of K_{I,J} in lexicographic order;
+    refuses to start when the total count exceeds the cap.
+    """
+    return map(_points, _all_cells(I, J, cap), repeat(J))
+
+
+def sample_uniform_saturated(I: int, J: int, seed) -> Points:
+    """One saturated fraction, exactly uniform over all of them.
+
+    Draws a uniform code pair (J-1 rows, then I-1 columns) and decodes
+    it; the decode is a bijection onto the spanning trees, so the tree is
+    uniform too.  Pass an int seed for reproducible draws, or a
+    random.Random instance to continue an existing stream.
+    """
+    return _points(_sample_cells(I, J, seed), J)
+
+
+def _points(cells: list[int], J: int) -> Points:
+    """The points of sorted cell indices, in the same order."""
+    return tuple([(k // J + 1, k % J + 1) for k in cells])
+
+
+def _margin_cells(mA, mB) -> Iterator[list[int]]:
+    """generate_with_margins as cell lists; the margins are checked on the call."""
     mA, mB = _check_margin_vectors(mA, mB)
     I, J = len(mA), len(mB)
     rows = _arrangements([a - 1 for a in mA])
     return _trees(rows, partial(_arrangements, [b - 1 for b in mB]), I, J)
 
 
-def _trees(acodes, bcodes, I: int, J: int) -> Iterator[Points]:
+def _all_cells(I: int, J: int, cap: int) -> Iterator[list[int]]:
+    """enumerate_saturated as cell lists; size and cap are checked on the call."""
+    check_size(I, J)
+    check_cap(cap)
+    total = count_saturated(I, J)
+    if total > cap:
+        raise CapExceeded(f"{total} saturated fractions exceed the cap of {cap}")
+    rows = product(range(1, I + 1), repeat=J - 1)
+    return _trees(rows, partial(product, range(1, J + 1), repeat=I - 1), I, J)
+
+
+def _sample_cells(I: int, J: int, seed) -> list[int]:
+    """sample_uniform_saturated as a cell list, from the same draws."""
+    check_size(I, J)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    acode = [rng.randrange(1, I + 1) for _ in range(J - 1)]
+    bcode = [rng.randrange(1, J + 1) for _ in range(I - 1)]
+    return _decode_tree(acode, bcode, I, J)
+
+
+def _trees(acodes, bcodes, I: int, J: int) -> Iterator[list[int]]:
     """Decode every row code of acodes against every column code of the
     fresh iterable bcodes() returns, row code outermost."""
     for acode in acodes:
@@ -113,8 +170,9 @@ def _trees(acodes, bcodes, I: int, J: int) -> Iterator[Points]:
             yield _decode_tree(acode, bcode, I, J)
 
 
-def _decode_tree(acode, bcode, I: int, J: int) -> Points:
-    """Spanning tree of K_{I,J} from a code pair, in linear time.
+def _decode_tree(acode, bcode, I: int, J: int) -> list[int]:
+    """Spanning tree of K_{I,J} from a code pair, in linear time, as its
+    sorted cell indices (i-1)*J + (j-1).
 
     Vertices 0..I-1 are rows, I..I+J-1 are columns.  The row code acode
     (J-1 rows) and the column code bcode (I-1 columns) give the degrees:
@@ -133,56 +191,27 @@ def _decode_tree(acode, bcode, I: int, J: int) -> Points:
         deg[I + b - 1] += 1
     ptr = leaf = deg.index(1)
     ia = ib = 0
-    points = []
+    cells = []
     for _ in range(n - 2):
         deg[leaf] = 0
         if leaf < I:
-            u = I + bcode[ib] - 1
+            c = bcode[ib] - 1
             ib += 1
-            points.append((leaf + 1, u - I + 1))
+            cells.append(leaf * J + c)
+            u = I + c
         else:
             u = acode[ia] - 1
             ia += 1
-            points.append((u + 1, leaf - I + 1))
+            cells.append(u * J + leaf - I)
         deg[u] -= 1
         if deg[u] == 1 and u < ptr:
             leaf = u
         else:
             ptr = leaf = deg.index(1, ptr + 1)
     # one row and one column remain
-    points.append((deg.index(1) + 1, deg.index(1, I) - I + 1))
-    points.sort()
-    return tuple(points)
-
-
-def enumerate_saturated(I: int, J: int, cap: int = DEFAULT_CAP) -> Iterator[Points]:
-    """Stream every saturated fraction of the I x J grid exactly once.
-
-    Runs over all spanning-tree codes of K_{I,J} in lexicographic order;
-    refuses to start when the total count exceeds the cap.
-    """
-    check_size(I, J)
-    check_cap(cap)
-    total = count_saturated(I, J)
-    if total > cap:
-        raise CapExceeded(f"{total} saturated fractions exceed the cap of {cap}")
-    rows = product(range(1, I + 1), repeat=J - 1)
-    return _trees(rows, partial(product, range(1, J + 1), repeat=I - 1), I, J)
-
-
-def sample_uniform_saturated(I: int, J: int, seed) -> Points:
-    """One saturated fraction, exactly uniform over all of them.
-
-    Draws a uniform code pair (J-1 rows, then I-1 columns) and decodes
-    it; the decode is a bijection onto the spanning trees, so the tree is
-    uniform too.  Pass an int seed for reproducible draws, or a
-    random.Random instance to continue an existing stream.
-    """
-    check_size(I, J)
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    acode = [rng.randrange(1, I + 1) for _ in range(J - 1)]
-    bcode = [rng.randrange(1, J + 1) for _ in range(I - 1)]
-    return _decode_tree(acode, bcode, I, J)
+    cells.append(deg.index(1) * J + deg.index(1, I) - I)
+    cells.sort()
+    return cells
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 import time
@@ -13,12 +14,12 @@ import jsonschema
 import pytest
 
 import oracles
-from satfrac import design
+from satfrac import design, fileio
 from satfrac.cli import main
 from satfrac.fileio import parse_fraction_text
 from satfrac.markov import (basis_size, circuit_to_move, circuits, fiber_enumerate, markov_basis,
                             walk_states)
-from satfrac.saturation import count_saturated
+from satfrac.saturation import count_saturated, enumerate_saturated, sample_uniform_saturated
 
 SCHEMA = json.loads(
     resources.files("satfrac").joinpath("report_schema.json").read_text()
@@ -183,6 +184,24 @@ def test_count_needs_arguments(capsys):
 def test_count_bad_margins(capsys):
     assert run(capsys, "count", "--margins", "9,1,1", "1,1,1,1")[0] == 2
     assert run(capsys, "count", "--margins", "3,a", "1,1")[0] == 2
+
+
+def test_count_prints_counts_past_the_int_text_digit_limit(capsys):
+    # 2000**3998 has 13,198 digits, over the default limit of 4300 on
+    # int-to-text conversion; the count prints whole, and the caller's
+    # limit is as it was after each call
+    limit = sys.get_int_max_str_digits()
+    code, text, err = run(capsys, "count", "--I", "2000", "--J", "2000")
+    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+    code, report, err = run(capsys, "count", "--I", "2000", "--J", "2000", "--json")
+    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text.startswith("32955102335773577502") and len(text) == 13199
+        assert int(text) == 2000 ** 1999 * 2000 ** 1999
+        assert check_report(report)["payload"] == {"count": 2000 ** 1999 * 2000 ** 1999}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_enumerate_json_lines(capsys):
@@ -434,6 +453,57 @@ def test_margin_tokens_must_be_ascii_integers(capsys):
         assert err.startswith(f"error: bad margin list {bad!r}")
 
 
+def _fuzzed_input(rng):
+    """A fraction file, grid (with or without header) or JSON, of up to
+    5 x 6, with up to three characters inserted, deleted or replaced; one
+    in ten is random text.  A third of the fractions are saturated, a
+    third have I+J-1 points, and the rest any number."""
+    alphabet = "01 \n\t-+,.[]{}\":2345679eIJpoints\u00b2\u00e9x"
+    if rng.random() < 0.1:
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+    I, J = rng.randint(1, 5), rng.randint(1, 6)
+    cells = [(i, j) for i in range(1, I + 1) for j in range(1, J + 1)]
+    shape = rng.randrange(3)
+    if shape == 0 and min(I, J) > 1:
+        pts = sample_uniform_saturated(I, J, rng)
+    else:
+        pts = sorted(rng.sample(cells, min(I * J, I + J - 1) if shape else rng.randint(0, I * J)))
+    kind = rng.randrange(3)
+    if kind == 2:
+        text = json.dumps({"I": I, "J": J, "points": [list(p) for p in pts]})
+    else:
+        rows = ["".join("1" if (i, j) in pts else "0" for j in range(1, J + 1))
+                for i in range(1, I + 1)]
+        text = (f"{I} {J}\n" if kind else "") + "\n".join(rows) + "\n"
+    chars = list(text)
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        at = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            chars.insert(at, rng.choice(alphabet))
+        elif at < len(chars):
+            if op == 1:
+                del chars[at]
+            else:
+                chars[at] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+def test_fuzzed_stdin_exits_0_1_or_2_without_a_traceback(capsys, monkeypatch):
+    verbs = [("check",), ("check", "--oracle"), ("check", "--json"), ("det",), ("matrix",),
+             ("decompose",), ("find-cycle",)]
+    rng = random.Random(1010)
+    codes = set()
+    for n in range(2000):
+        text = _fuzzed_input(rng)
+        verb = verbs[n % len(verbs)]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run(capsys, *verb, "-")
+        assert code in (0, 1, 2) and "Traceback" not in err, (verb, text, err)
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
 def test_missing_file_exit(capsys, tmp_path):
     assert run(capsys, "check", str(tmp_path / "nope.grid"))[0] == 2
 
@@ -495,6 +565,16 @@ GOLDEN_STREAMS = [
     pytest.param(("generate", "--margins", "2,2,2", "2,1,2,1"),
                  "0bf5ca3eccb7a3dabdcc53ef442a6061237501454df6486bbfcb595a641622db",
                  id="generate-json"),
+    pytest.param(("generate", "--margins", "3,2,2,2,2,1", "1,1,2,2,2,2,2", "--format", "grid"),
+                 "43fdc92373ed81fd32afa141afaaca75b4dd3912e8911000b0bb2798c4a31ccd",
+                 id="generate-6x7-grid"),
+    # thin shapes: a row/column mix-up in a cell index shows here
+    pytest.param(("enumerate", "--I", "2", "--J", "7", "--format", "grid"),
+                 "f258a97f832f45b02e6d597f2ce1718922b2b7033d19a2d829138472bedb5624",
+                 id="enumerate-2x7-grid"),
+    pytest.param(("enumerate", "--I", "7", "--J", "2"),
+                 "e952882b3d05d11f2d6d814c210ce468bbd50a82a7df6544167f400fe98107ee",
+                 id="enumerate-7x2-json"),
     pytest.param(("sample", "--I", "30", "--J", "40", "--count", "200", "--seed", "5"),
                  "4d2824a9fc4c3c89599e802523f69318c70de45be5a83393081c3abce348d726",
                  id="sample-30x40-json"),
@@ -831,6 +911,71 @@ def test_stream_verbs_decode_no_row_tuple(capsys, tmp_path, monkeypatch):
                   "--emit-every", "1")):
         for fmt in ("json", "grid"):
             assert _stdout(capsys, *argv, "--format", fmt)
+
+
+def test_fraction_stream_verbs_build_no_point_and_check_nothing(capsys, monkeypatch):
+    # enumerate, generate and sample render the decoder's cells as text;
+    # a point tuple built or a fraction re-checked on their way fails here
+    argvs = [("enumerate", "--I", "3", "--J", "4"),
+             ("enumerate", "--margins", "3,1,2", "2,2,1,1"),
+             ("generate", "--margins", "2,2,2", "2,1,2,1"),
+             ("sample", "--I", "30", "--J", "40", "--count", "20", "--seed", "5")]
+    argvs = [(*argv, "--format", fmt) for argv in argvs for fmt in ("json", "grid")]
+    want = [_stdout(capsys, *argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point was built or checked")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("satfrac"):
+            for attr in ("fraction", "render_json", "render_grid", "_points"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError, match="point"):
+        next(enumerate_saturated(3, 4))
+    assert [_stdout(capsys, *argv) for argv in argvs] == want
+    assert all(want)
+
+
+def test_large_sparse_draw_holds_no_grid_sized_table(monkeypatch):
+    # one JSON draw from 1000 x 1000 is 1,999 points; a text table for all
+    # 10**6 cells took 0.8 s and about 70 MB more
+    class Sink:
+        def write(self, text):
+            self.text = text
+
+    out = Sink()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["sample", "--I", "1000", "--J", "1000", "--count", "1", "--seed", "2"]
+    assert main(argv) == 0  # builds the parser
+    t = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - t < 1.0
+    assert out.text.count("], [") == 1998
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_json_cell_texts_stay_bounded_over_many_draws():
+    # many draws from a large grid emit most of its cells; the JSON text
+    # builder keeps the texts of at most 65,536 of them
+    text = fileio._fraction_text("json", 1000, 1000)
+    tracemalloc.start()
+    try:
+        for start in range(0, 200_000, 2_000):
+            text(range(start, start + 2_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15_000_000
+    for cells in ([0, 999, 1000, 999_999], [70_000, 199_999]):  # kept and unkept cells
+        assert text(cells) == oracles.slow_render_json(
+            [(k // 1000 + 1, k % 1000 + 1) for k in cells], 1000, 1000)
 
 
 @pytest.mark.parametrize("fmt", ["json", "grid"])

@@ -1,4 +1,5 @@
 """Grid and JSON fraction formats, margin lists, rendering."""
+import functools
 import random
 
 import pytest
@@ -157,6 +158,24 @@ def test_render_json_is_one_sorted_line():
     out = render_json([(2, 1), (1, 2)], 2, 2)
     assert out == '{"I": 2, "J": 2, "points": [[1, 2], [2, 1]]}'
     assert "\n" not in out
+
+
+@pytest.mark.parametrize("points, message", [
+    ([(1, 1), (3, 1)], "point (3, 1) outside the 2 x 2 grid"),
+    ([(1, 0)], "point (1, 0) outside the 2 x 2 grid"),
+    ([(2, 1), (1, 2), (2, 1)], "duplicate point (2, 1)"),
+    ([(1, True)], "point (1, True) has non-integer levels"),
+    ([(1.0, 1)], "point (1.0, 1) has non-integer levels"),
+    ([[1, 1]], "point [1, 1] is not a pair"),
+    ([(1, 1, 1)], "point (1, 1, 1) is not a pair"),
+])
+def test_renderers_refuse_bad_points(points, message):
+    # the public renderers check what they are given; the CLI's cell
+    # streams go through the same text builder without the check
+    for render in (render_json, render_grid, functools.partial(render_grid, header=False)):
+        with pytest.raises(ValueError) as exc:
+            render(points, 2, 2)
+        assert str(exc.value) == message
 
 
 def _render_outcomes(points, I, J):

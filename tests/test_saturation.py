@@ -177,7 +177,11 @@ def test_decoder_equals_heap_decoder_on_random_codes():
         I, J = rng.randint(2, 40), rng.randint(2, 40)
         acode = [rng.randint(1, I) for _ in range(J - 1)]
         bcode = [rng.randint(1, J) for _ in range(I - 1)]
-        assert saturation._decode_tree(acode, bcode, I, J) == oracles.heap_decode_tree(
+        cells = saturation._decode_tree(acode, bcode, I, J)
+        # strictly increasing cell indices (i-1)*J + (j-1) inside the grid
+        assert all(a < b for a, b in zip(cells, cells[1:]))
+        assert 0 <= cells[0] and cells[-1] < I * J
+        assert tuple((k // J + 1, k % J + 1) for k in cells) == oracles.heap_decode_tree(
             acode, bcode, I, J
         )
 
