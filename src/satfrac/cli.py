@@ -2,8 +2,9 @@
 
 Thirteen verbs, one library call each.  Exit codes: 0 for success (for
 `check`, saturated; for `verify`, connected), 1 for a negative outcome or
-an exceeded enumeration cap, 2 for unusable input (bad files, bad
-margins, bad flags, or a failed `--oracle` cross-check).
+an exceeded cap (on enumerated items, or on `matrix` entries), 2 for
+unusable input (bad files, bad margins, bad flags, or a failed
+`--oracle` cross-check).
 
 Verbs that produce one result (`check`, `matrix`, `det`, `count`,
 `decompose`, `find-cycle`, `verify`) take `--json` and then emit a report
@@ -27,7 +28,7 @@ import os
 import random
 import sys
 
-from .design import DEFAULT_CAP, CapExceeded, _mask, _tables, check_margins, check_size
+from .design import DEFAULT_CAP, CapExceeded, _mask, _tables, check_margins
 from .linalg import (
     full_model_matrix,
     integer_determinant,
@@ -162,7 +163,6 @@ def cmd_sample(args) -> int:
     if args.count < 1:
         raise ParseError("--count must be at least 1")
     I, J, rng = args.I, args.J, random.Random(args.seed)
-    check_size(I, J)  # before _fraction_text sizes its grid template
     draws = (_sample_cells(I, J, rng) for _ in range(args.count))
     return _stream(map(_fraction_text(args.format, I, J), draws), args.format)
 

@@ -24,7 +24,7 @@ import re
 import sys
 from typing import Callable, Iterable
 
-from .design import Point, Points, Table, _encode, _rows, fraction
+from .design import Point, Points, Table, _encode, _rows, check_size, fraction
 
 
 # An optional '-' then ASCII digits: str.isdigit() also passes '²', which int() refuses.
@@ -156,9 +156,7 @@ def render_json(points: Iterable[Point], I: int, J: int) -> str:
 
 
 def _cells(points: Iterable[Point], I: int, J: int) -> list[int]:
-    """The sorted cell indices of a fraction, checked by design.fraction;
-    the renderers call it first, so a bad size is refused before
-    _fraction_text sizes its text."""
+    """The sorted cell indices of a fraction, checked by design.fraction."""
     return [(i - 1) * J + j - 1 for i, j in fraction(points, I, J)]
 
 
@@ -167,7 +165,9 @@ def _fraction_text(fmt: str, I: int, J: int) -> Callable[[list[int]], str]:
     indices: a grid with its "I J" header, or the JSON object.  A grid
     fills a copy of one all-zero template.  A JSON record joins per-cell
     texts, each made when its cell is first emitted and kept up to a
-    bound (_CellTexts), so no stream holds a table of I*J texts."""
+    bound (_CellTexts), so no stream holds a table of I*J texts.  The
+    size is checked first, before a template is sized from it."""
+    check_size(I, J)
     if fmt == "grid":
         head = b"%d %d\n" % (I, J)
         zeros = bytearray(head + (b"0" * J + b"\n") * I)

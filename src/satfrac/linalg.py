@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .design import Point, fraction, full_grid
+from .design import DEFAULT_CAP, CapExceeded, Point, check_size, fraction, full_grid
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -32,8 +32,13 @@ def full_model_matrix(I: int, J: int) -> Matrix:
 
     Columns: grand mean, then indicators of rows 1..I-1, then indicators
     of columns 1..J-1 (the last level of each factor is the reference).
-    Rows follow lexicographic point order.
+    Rows follow lexicographic point order.  A matrix of more than
+    DEFAULT_CAP entries is refused before any row is built.
     """
+    check_size(I, J)
+    entries = I * J * (I + J - 1)
+    if entries > DEFAULT_CAP:
+        raise CapExceeded(f"{entries} model-matrix entries exceed the cap of {DEFAULT_CAP}")
     return tuple(_model_row(i, j, I, J) for i, j in full_grid(I, J))
 
 

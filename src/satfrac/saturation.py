@@ -7,16 +7,17 @@ of the complete bipartite graph K_{I,J}.  The three views (cardinality
 plus acyclicity, non-zero determinant, spanning tree) are implemented
 through independent routes and cross-checked in the tests.
 
-One code-pair decoder, _decode_tree, maps each (row code, column code)
-pair bijectively to a spanning tree.  Counting, enumeration, margin
-generation and uniform sampling all rest on it: a level's margin is one
-plus its count in the code.  The decoder returns a tree as its sorted
-cell indices k = (i-1)*J + (j-1), design's bit numbering, whose order is
-the lexicographic point order.  The private cell streams (_all_cells,
-_margin_cells, _sample_cells) run every size, cap and margin check when
-called and yield those cell lists; the CLI renders them as text without
-building a point.  The public generators are their edges: each maps the
-cells to points.
+One decoder, _decode_tree, maps each tree code bijectively to a
+spanning tree.  A code is one flat tuple: the J-1 row levels of the row
+code, then the I-1 column levels of the column code.  Counting,
+enumeration, margin generation and uniform sampling all rest on it: a
+level's margin is one plus its count in its part of the code.  The
+decoder returns a tree as its sorted cell indices k = (i-1)*J + (j-1),
+design's bit numbering, whose order is the lexicographic point order.
+The private cell streams (_all_cells, _margin_cells, _sample_cells) run
+every size, cap and margin check when called and decode codes through
+it; the CLI renders their cell lists as text without building a point.
+The public generators are their edges: each maps the cells to points.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Rational
-from functools import partial
 from itertools import product, repeat
 from typing import Iterable, Iterator
 
@@ -121,7 +121,7 @@ def enumerate_saturated(I: int, J: int, cap: int = DEFAULT_CAP) -> Iterator[Poin
 def sample_uniform_saturated(I: int, J: int, seed) -> Points:
     """One saturated fraction, exactly uniform over all of them.
 
-    Draws a uniform code pair (J-1 rows, then I-1 columns) and decodes
+    Draws a uniform tree code (J-1 rows, then I-1 columns) and decodes
     it; the decode is a bijection onto the spanning trees, so the tree is
     uniform too.  Pass an int seed for reproducible draws, or a
     random.Random instance to continue an existing stream.
@@ -135,11 +135,13 @@ def _points(cells: list[int], J: int) -> Points:
 
 
 def _margin_cells(mA, mB) -> Iterator[list[int]]:
-    """generate_with_margins as cell lists; the margins are checked on the call."""
+    """generate_with_margins as cell lists; the margins are checked on the
+    call.  Unlike itertools.product, this holds no list of arrangements."""
     mA, mB = _check_margin_vectors(mA, mB)
     I, J = len(mA), len(mB)
-    rows = _arrangements([a - 1 for a in mA])
-    return _trees(rows, partial(_arrangements, [b - 1 for b in mB]), I, J)
+    cols = [b - 1 for b in mB]
+    return (_decode_tree(acode + bcode, I, J)
+            for acode in _arrangements([a - 1 for a in mA]) for bcode in _arrangements(cols))
 
 
 def _all_cells(I: int, J: int, cap: int) -> Iterator[list[int]]:
@@ -149,58 +151,48 @@ def _all_cells(I: int, J: int, cap: int) -> Iterator[list[int]]:
     total = count_saturated(I, J)
     if total > cap:
         raise CapExceeded(f"{total} saturated fractions exceed the cap of {cap}")
-    rows = product(range(1, I + 1), repeat=J - 1)
-    return _trees(rows, partial(product, range(1, J + 1), repeat=I - 1), I, J)
+    codes = product(*[range(1, I + 1)] * (J - 1), *[range(1, J + 1)] * (I - 1))
+    return map(_decode_tree, codes, repeat(I), repeat(J))
 
 
 def _sample_cells(I: int, J: int, seed) -> list[int]:
     """sample_uniform_saturated as a cell list, from the same draws."""
     check_size(I, J)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    acode = [rng.randrange(1, I + 1) for _ in range(J - 1)]
-    bcode = [rng.randrange(1, J + 1) for _ in range(I - 1)]
-    return _decode_tree(acode, bcode, I, J)
+    return _decode_tree([rng.randrange(1, n + 1) for n in [I] * (J - 1) + [J] * (I - 1)], I, J)
 
 
-def _trees(acodes, bcodes, I: int, J: int) -> Iterator[list[int]]:
-    """Decode every row code of acodes against every column code of the
-    fresh iterable bcodes() returns, row code outermost."""
-    for acode in acodes:
-        for bcode in bcodes():
-            yield _decode_tree(acode, bcode, I, J)
-
-
-def _decode_tree(acode, bcode, I: int, J: int) -> list[int]:
-    """Spanning tree of K_{I,J} from a code pair, in linear time, as its
+def _decode_tree(code, I: int, J: int) -> list[int]:
+    """Spanning tree of K_{I,J} from a tree code, in linear time, as its
     sorted cell indices (i-1)*J + (j-1).
 
-    Vertices 0..I-1 are rows, I..I+J-1 are columns.  The row code acode
-    (J-1 rows) and the column code bcode (I-1 columns) give the degrees:
-    one plus the number of occurrences.  The smallest current leaf is
-    attached to the next unread entry of the opposite side's code.  A
-    scan pointer finds that leaf: a vertex that becomes a leaf below the
-    pointer is the smallest, otherwise the scan moves forward.  Every
-    code pair yields a distinct tree and the pair count I^(J-1) J^(I-1)
+    Vertices 0..I-1 are rows, I..I+J-1 are columns.  The code holds the
+    row code, J-1 rows, then the column code, I-1 columns; they give the
+    degrees: one plus the number of occurrences.  The smallest current
+    leaf is attached to the next unread entry of the opposite side's
+    code.  A scan pointer finds that leaf: a vertex that becomes a leaf
+    below the pointer is the smallest, otherwise the scan moves forward.
+    Every code yields a distinct tree and the code count I^(J-1) J^(I-1)
     equals the tree count, so this enumerates without deduplication.
     """
     n = I + J
     deg = [1] * n
-    for a in acode:
+    for a in code[:J - 1]:
         deg[a - 1] += 1
-    for b in bcode:
+    for b in code[J - 1:]:
         deg[I + b - 1] += 1
     ptr = leaf = deg.index(1)
-    ia = ib = 0
+    ia, ib = 0, J - 1  # the next unread row and column entries
     cells = []
     for _ in range(n - 2):
         deg[leaf] = 0
         if leaf < I:
-            c = bcode[ib] - 1
+            c = code[ib] - 1
             ib += 1
             cells.append(leaf * J + c)
             u = I + c
         else:
-            u = acode[ia] - 1
+            u = code[ia] - 1
             ia += 1
             cells.append(u * J + leaf - I)
         deg[u] -= 1

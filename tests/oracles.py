@@ -328,6 +328,19 @@ def det_via_fractions(matrix):
     return int(det)
 
 
+def kirchhoff_count(I, J, det=det_via_fractions):
+    """Spanning trees of K(I,J) by the matrix-tree theorem: det of the
+    Laplacian (rows 0..I-1, then columns) without its first row and column."""
+    n = I + J
+    lap = [[0] * n for _ in range(n)]
+    for i in range(I):
+        for j in range(I, n):
+            lap[i][j] = lap[j][i] = -1
+            lap[i][i] += 1
+            lap[j][j] += 1
+    return det([row[1:] for row in lap[1:]])
+
+
 def brute_fiber(mA, mB):
     """All 0/1 tables with the given margins, row by row with no pruning."""
     I, J = len(mA), len(mB)

@@ -145,6 +145,23 @@ def test_matrix_full(capsys):
     assert rows == [["1", "1", "1"], ["1", "1", "0"], ["1", "0", "1"], ["1", "0", "0"]]
 
 
+def test_matrix_over_the_cap_is_refused_before_a_row_is_built(capsys):
+    # 1000 x 1000 would be 1,999,000,000 entries: 16 GB of tuple slots alone
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "matrix", "--I", "1000", "--J", "1000")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: 1999000000 model-matrix entries exceed the cap of 10000000\n"
+    assert elapsed < 1 and peak < 1_000_000
+    # 200 x 200 holds 15,960,000 entries, just over the cap
+    assert run(capsys, "matrix", "--I", "200", "--J", "200", "--json")[:2] == (1, "")
+
+
 def test_matrix_needs_one_source(capsys, saturated_file):
     assert run(capsys, "matrix")[0] == 2
     assert run(capsys, "matrix", saturated_file, "--I", "3", "--J", "4")[0] == 2
@@ -184,6 +201,8 @@ def test_count_needs_arguments(capsys):
 def test_count_bad_margins(capsys):
     assert run(capsys, "count", "--margins", "9,1,1", "1,1,1,1")[0] == 2
     assert run(capsys, "count", "--margins", "3,a", "1,1")[0] == 2
+    assert run(capsys, "count", "--margins", "2,2", "2,2") == (
+        2, "", "error: margin sums must equal I+J-1 = 3, got 4\n")
 
 
 def test_count_prints_counts_past_the_int_text_digit_limit(capsys):
@@ -420,6 +439,11 @@ def test_verify_one_row_or_one_column_fiber(capsys):
     assert code == 0
     assert check_report(out)["payload"] == {
         "connected": True, "fiber_size": 1, "components": 1, "moves": 0}
+
+
+def test_check_refuses_json_points_that_are_not_a_list(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"I": 2, "J": 2, "points": 5}'))
+    assert run(capsys, "check", "-") == (2, "", "error: points must be a list of [i, j] pairs\n")
 
 
 def test_parse_error_exit(capsys, tmp_path):

@@ -126,6 +126,12 @@ def test_is_orthogonal_array_ignores_absent_levels():
     assert is_orthogonal_array([(3, 2), (3, 4), (4, 2), (4, 4)], 2)
 
 
+def test_is_orthogonal_array_refuses_an_empty_point_set():
+    with pytest.raises(ValueError) as exc:
+        is_orthogonal_array([], 1)
+    assert str(exc.value) == "empty point set"
+
+
 def test_is_orthogonal_array_rejects_bad_strength():
     with pytest.raises(ValueError):
         is_orthogonal_array([(1, 1)], 3)

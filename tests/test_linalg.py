@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from satfrac import linalg
+from satfrac.design import CapExceeded
 from satfrac.linalg import (
     full_model_matrix,
     integer_determinant,
@@ -35,6 +36,20 @@ def test_full_matrix_shape_and_rank(I, J):
 def test_restrict_picks_lex_rows():
     X = full_model_matrix(2, 2)
     assert restrict(X, [(2, 1), (1, 2)], 2, 2) == (X[1], X[2])
+
+
+def test_restrict_refuses_a_matrix_of_another_grid():
+    with pytest.raises(ValueError) as exc:
+        restrict(full_model_matrix(2, 2), [(1, 1)], 2, 3)
+    assert str(exc.value) == "matrix has 4 rows, expected 6"
+
+
+def test_full_matrix_over_the_cap_is_refused():
+    with pytest.raises(CapExceeded) as exc:
+        full_model_matrix(200, 200)
+    assert str(exc.value) == "15960000 model-matrix entries exceed the cap of 10000000"
+    with pytest.raises(ValueError, match="at least 2 x 2"):
+        full_model_matrix(1, 5000)  # the size rule comes first
 
 
 def test_model_matrix_of_known_fraction():

@@ -60,6 +60,12 @@ def test_move_of_2_circuit():
     assert move == ((1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 0, 0))
 
 
+def test_a_circuit_past_the_grid_has_no_move():
+    with pytest.raises(ValueError) as exc:
+        circuit_to_move(Circuit((1, 3), (1, 2)), 2, 2)
+    assert str(exc.value) == "circuit does not fit a 2 x 2 grid"
+
+
 def test_move_of_3_circuit():
     circuit = Circuit(rows=(1, 2, 3), cols=(1, 3, 2))
     move = circuit_to_move(circuit, 3, 4)

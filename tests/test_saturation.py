@@ -10,7 +10,7 @@ import oracles
 from satfrac import saturation
 from satfrac.cycles import contains_cycle
 from satfrac.design import CapExceeded, margins
-from satfrac.linalg import is_saturated_by_determinant
+from satfrac.linalg import integer_determinant, is_saturated_by_determinant
 from satfrac.saturation import (
     check_margin_lemma,
     count_saturated,
@@ -64,6 +64,9 @@ def test_count_with_margins_rejects_bad_vectors():
         count_with_margins((6, 0), (3, 1, 1, 1))  # zero entry
     with pytest.raises(ValueError):
         count_with_margins((3.0, 1, 2), (3, 1, 1, 1))
+    with pytest.raises(ValueError) as exc:
+        count_with_margins((2, 2), (2, 2))  # equal sums, but not I+J-1
+    assert str(exc.value) == "margin sums must equal I+J-1 = 3, got 4"
 
 
 @pytest.mark.parametrize(
@@ -177,13 +180,21 @@ def test_decoder_equals_heap_decoder_on_random_codes():
         I, J = rng.randint(2, 40), rng.randint(2, 40)
         acode = [rng.randint(1, I) for _ in range(J - 1)]
         bcode = [rng.randint(1, J) for _ in range(I - 1)]
-        cells = saturation._decode_tree(acode, bcode, I, J)
+        cells = saturation._decode_tree((*acode, *bcode), I, J)
         # strictly increasing cell indices (i-1)*J + (j-1) inside the grid
         assert all(a < b for a, b in zip(cells, cells[1:]))
         assert 0 <= cells[0] and cells[-1] < I * J
         assert tuple((k // J + 1, k % J + 1) for k in cells) == oracles.heap_decode_tree(
             acode, bcode, I, J
         )
+
+
+@pytest.mark.parametrize("I,J", [(3, 4), (6, 7), (12, 15), (30, 40), (60, 60)])
+def test_count_equals_the_kirchhoff_minor(I, J):
+    # an independent route: the matrix-tree theorem on K(I,J); exact
+    # rationals where they are quick, the package's sparse pivots beyond
+    det = oracles.det_via_fractions if I * J <= 180 else integer_determinant
+    assert oracles.kirchhoff_count(I, J, det) == count_saturated(I, J)
 
 
 def test_enumeration_cap():
