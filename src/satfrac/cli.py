@@ -119,8 +119,9 @@ def cmd_matrix(args) -> int:
             raise ParseError("matrix needs a fraction file or both --I and --J")
         I, J = args.I, args.J
         m = full_model_matrix(I, J)
-    human = "\n".join(" ".join(f"{v:2d}" for v in row) for row in m)
-    return _report(args, True, {"rows": len(m), "cols": I + J - 1, "matrix": [list(r) for r in m]}, human)
+    if args.json:  # build only the form that is printed; entries are 0/1
+        return _report(args, True, {"rows": len(m), "cols": I + J - 1, "matrix": list(map(list, m))}, "")
+    return _report(args, True, {}, "\n".join([" ".join(map((" 0", " 1").__getitem__, row)) for row in m]))
 
 
 def cmd_det(args) -> int:

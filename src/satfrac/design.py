@@ -13,6 +13,7 @@ entry is named by row and column) and returns one mask per non-zero
 value, bit (i-1)*J + (j-1) for cell (i, j).  _rows and _tables apply a
 row function, such as _row_decoder's row tuples, to each row's J-bit
 slice of one grid's masks or of streams of them, read side by side.
+_draws is the one random stream of the walk and the sampler.
 
 Every size, count, cap, level, degree, sign and margin entry is an int
 in the sense type(x) is int (True and 2.0 are refused with ValueError);
@@ -178,6 +179,17 @@ def _tables(I: int, J: int, row: Callable, *streams: Iterable[int]) -> Iterator[
     full, tees = (1 << J) - 1, [itertools.tee(stream, I) for stream in streams]
     return zip(*[map(row, *[map(full.__and__, map(operator.rshift, t[i], itertools.repeat(i * J)))
                             for t in tees]) for i in range(I)])
+
+
+def _draws(rng, n: int) -> Iterator[int]:
+    """rng.randrange(n), n >= 1, draw for draw and without end: the
+    rejection loop over rng.getrandbits(n.bit_length()) that randrange
+    runs, with no draw made before the next value is asked for."""
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    while True:
+        r = getrandbits(k)
+        if r < n:
+            yield r
 
 
 def table_margins(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:

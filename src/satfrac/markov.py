@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cycles import UnionFind
-from .design import (DEFAULT_CAP, CapExceeded, Table, _encode, _row_decoder, _rows, _tables,
-                     check_cap, check_margins, check_size, table_margins)
+from .design import (DEFAULT_CAP, CapExceeded, Table, _draws, _encode, _row_decoder, _rows,
+                     _tables, check_cap, check_margins, check_size, table_margins)
 
 Move = Table  # I x J integer grid, entries in {-1, 0, +1}
 
@@ -277,13 +277,16 @@ def walk_states(
 ) -> Iterator[Table]:
     """Iterator over the chain state after each of `steps` transitions.
 
-    Proposal: one uniformly chosen basis move with a uniform sign.  A
-    proposal leaving {0,1} is rejected and the state repeats (the lazy
-    convention: rejections consume a step; the same tuple is yielded
-    again).  With a target weight function the acceptance ratio is
-    min(1, target(next)/target(cur)); ratios >= 1 are accepted without
-    drawing, so a constant target replays exactly the plain walk's
-    trajectory for the same seed.
+    Proposal: one uniformly chosen basis move with a uniform sign.  The
+    two are drawn as randrange(len(basis)) and then randrange(2) draw
+    them, through rng.getrandbits word for word, so an int seed or a
+    random.Random replays as before (a SystemRandom draws as before);
+    no draw is made for a step not yet asked for.  A proposal leaving {0,1} is rejected
+    and the state repeats (the lazy convention: rejections consume a
+    step; the same tuple is yielded again).  With a target weight
+    function the acceptance ratio is min(1, target(next)/target(cur));
+    ratios >= 1 are accepted without drawing, so a constant target
+    replays exactly the plain walk's trajectory for the same seed.
 
     basis is a MoveBasis or any sequence of dense moves; either is
     checked against the start's shape (and dense entries against the
@@ -314,11 +317,10 @@ def _walk_from(code, I, J, basis, steps, seed, row, cur=None, target=None):
 
 
 def _walk(cur, code, w_cur, plus, minus, J, steps, rng, target, row) -> Iterator[tuple]:
-    n, full = len(plus), (1 << J) - 1
-    randrange = rng.randrange
-    for _ in range(steps):
-        r = randrange(n)
-        if randrange(2) == 0:
+    full = (1 << J) - 1
+    # zip pulls the move, then the sign; islice stops before another pair
+    for r, s in itertools.islice(zip(_draws(rng, len(plus)), _draws(rng, 2)), steps):
+        if s == 0:
             up, down = plus[r], minus[r]
         else:
             up, down = minus[r], plus[r]

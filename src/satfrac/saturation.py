@@ -25,12 +25,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Rational
-from itertools import product, repeat
+from itertools import chain, islice, product, repeat
 from typing import Iterable, Iterator
 
 from .cycles import contains_cycle
-from .design import (DEFAULT_CAP, CapExceeded, Point, Points, check_cap, check_margins, check_size,
-                     fraction, margins)
+from .design import (DEFAULT_CAP, CapExceeded, Point, Points, _draws, check_cap, check_margins,
+                     check_size, fraction, margins)
 
 
 def is_saturated(points: Iterable[Point], I: int, J: int) -> bool:
@@ -124,7 +124,8 @@ def sample_uniform_saturated(I: int, J: int, seed) -> Points:
     Draws a uniform tree code (J-1 rows, then I-1 columns) and decodes
     it; the decode is a bijection onto the spanning trees, so the tree is
     uniform too.  Pass an int seed for reproducible draws, or a
-    random.Random instance to continue an existing stream.
+    random.Random instance to continue an existing stream; each level
+    is drawn through rng.getrandbits as randrange(1, n + 1) draws it.
     """
     return _points(_sample_cells(I, J, seed), J)
 
@@ -159,7 +160,8 @@ def _sample_cells(I: int, J: int, seed) -> list[int]:
     """sample_uniform_saturated as a cell list, from the same draws."""
     check_size(I, J)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return _decode_tree([rng.randrange(1, n + 1) for n in [I] * (J - 1) + [J] * (I - 1)], I, J)
+    draws = chain(islice(_draws(rng, I), J - 1), islice(_draws(rng, J), I - 1))
+    return _decode_tree([r + 1 for r in draws], I, J)  # randrange(1, n + 1) is 1 + randrange(n)
 
 
 def _decode_tree(code, I: int, J: int) -> list[int]:

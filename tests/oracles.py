@@ -405,10 +405,10 @@ def dense_apply_move(table, move, sign):
 
 def dense_walk(start, moves, steps, seed, target=None):
     """States of the stay-or-move chain on dense moves.  Draws from
-    random.Random(seed) in the order the package documents: the move
-    index, the sign, then a uniform only when a Metropolis ratio is
-    below 1."""
-    rng = random.Random(seed)
+    random.Random(seed), or from seed itself when it is a random.Random,
+    with randrange in the order the package documents: the move index,
+    the sign, then a uniform only when a Metropolis ratio is below 1."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     cur = tuple(tuple(row) for row in start)
     w_cur = 1.0 if target is None else target(cur)
     states = []

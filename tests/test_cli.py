@@ -17,6 +17,7 @@ import oracles
 from satfrac import design, fileio
 from satfrac.cli import main
 from satfrac.fileio import parse_fraction_text
+from satfrac.linalg import full_model_matrix, model_matrix
 from satfrac.markov import (basis_size, circuit_to_move, circuits, fiber_enumerate, markov_basis,
                             walk_states)
 from satfrac.saturation import count_saturated, enumerate_saturated, sample_uniform_saturated
@@ -143,6 +144,21 @@ def test_matrix_full(capsys):
     assert code == 0
     rows = [line.split() for line in out.splitlines()]
     assert rows == [["1", "1", "1"], ["1", "1", "0"], ["1", "0", "1"], ["1", "0", "0"]]
+
+
+@pytest.mark.parametrize("size", [(2, 2), (3, 5), (7, 4), None])
+def test_matrix_text_and_json_match_the_per_entry_rendering(capsys, saturated_file, size):
+    if size is None:
+        argv, (points, I, J) = [saturated_file], parse_fraction_text(SATURATED_GRID)
+        m = model_matrix(points, I, J)
+    else:
+        (I, J), argv = size, ["--I", str(size[0]), "--J", str(size[1])]
+        m = full_model_matrix(I, J)
+    assert run(capsys, "matrix", *argv) == (
+        0, "\n".join(" ".join(f"{v:2d}" for v in row) for row in m) + "\n", "")
+    payload = {"rows": len(m), "cols": I + J - 1, "matrix": [list(r) for r in m]}
+    assert run(capsys, "matrix", *argv, "--json") == (
+        0, json.dumps({"status": "ok", "payload": payload, "diagnostics": []}) + "\n", "")
 
 
 def test_matrix_over_the_cap_is_refused_before_a_row_is_built(capsys):

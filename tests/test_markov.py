@@ -15,7 +15,7 @@ import oracles
 from satfrac.cycles import (count_k_cycles, decompose_cycle, derangements, enumerate_k_cycles,
                             is_orthogonal_array)
 from satfrac import markov
-from satfrac.design import CapExceeded, from_table, table_margins
+from satfrac.design import CapExceeded, _draws, from_table, table_margins
 from satfrac.linalg import integer_determinant
 from satfrac.markov import (
     Circuit,
@@ -520,6 +520,33 @@ def test_walk_matches_dense_oracle(I, J, max_degree, steps):
             assert list(walk_states(start, moves, steps, seed)) == oracles.dense_walk(
                 start, moves, steps, seed
             )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 2**16, 36_100, 2**32 + 1])
+def test_draws_are_randrange_draw_for_draw(n):
+    # 2**32 + 1 takes two 32-bit words a draw
+    for seed in (0, 1, 2):
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert list(itertools.islice(_draws(ours, n), 300)) == [ref.randrange(n) for _ in range(300)]
+        assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_walk_leaves_a_caller_rng_where_the_randrange_oracle_does(weighted):
+    # a Metropolis ratio below 1 draws random() between the steps' draws
+    target = (lambda t: 2.0 ** sum(t[i][i] for i in range(4))) if weighted else None
+    basis, moves = markov_basis(4, 4), _dense_basis(4, 4)
+    start = tuple(tuple((i + j) % 2 for j in range(4)) for i in range(4))
+    for seed in (3, 4):
+        ours, ref = random.Random(seed), random.Random(seed)
+        want = oracles.dense_walk(start, moves, 400, ref, target)
+        assert list(walk_states(start, basis, 400, ours, target)) == want
+        assert ours.getstate() == ref.getstate() and len(set(want)) > 1
+        # a caller that stops after step 17 leaves no draw of step 18 taken
+        ours, ref = random.Random(seed), random.Random(seed)
+        states = walk_states(start, basis, 400, ours, target)
+        assert list(itertools.islice(states, 17)) == oracles.dense_walk(start, moves, 17, ref, target)
+        assert ours.getstate() == ref.getstate()
 
 
 def test_walk_repeats_the_same_object_on_rejection():

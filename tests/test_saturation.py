@@ -221,6 +221,17 @@ def test_sampler_accepts_shared_generator():
     assert b == sample_uniform_saturated(3, 3, fresh)
 
 
+def test_sampler_leaves_a_caller_rng_where_the_randrange_reference_does():
+    # 9 levels reject 7 of 16 four-bit words; 2 x 2 draws one level a side
+    for I, J in [(2, 2), (3, 5), (9, 4), (4, 9)]:
+        ours, ref = random.Random(11), random.Random(11)
+        for _ in range(3):
+            code = [ref.randrange(1, n + 1) for n in [I] * (J - 1) + [J] * (I - 1)]
+            want = oracles.heap_decode_tree(code[:J - 1], code[J - 1:], I, J)
+            assert sample_uniform_saturated(I, J, ours) == want
+        assert ours.getstate() == ref.getstate()
+
+
 def test_sampler_2x2_frequencies():
     # 2x3 is not square, so a row/column mix-up in the code draw shows
     for I, J in [(2, 2), (2, 3)]:
